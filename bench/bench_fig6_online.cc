@@ -15,7 +15,7 @@
 // three paths and writes it to BENCH_fig6.json ("fig6_throughput"):
 //   * rescoring   — the reference RescoringOnlineScorer, which replays
 //                   Score() on every update (O(prefix) taped work per
-//                   point; forced via SetOnlineRescoringForced),
+//                   point; the base TrajectoryScorer::BeginTrip),
 //   * incremental — the models' own BeginTrip sessions (carried GRU state,
 //                   fused no-grad kernels; O(1) per point for the
 //                   road-constrained decoders),
@@ -102,7 +102,6 @@ using causaltad::eval::ExperimentData;
 using causaltad::eval::ScoreSetAtRatios;
 using causaltad::eval::Subsample;
 using causaltad::eval::TablePrinter;
-using causaltad::models::SetOnlineRescoringForced;
 using causaltad::models::TrajectoryScorer;
 using causaltad::traj::Trip;
 
@@ -194,12 +193,14 @@ double BestOf(int reps, const Fn& fn) {
   return best;
 }
 
-// Feeds every point of every trip through per-trip BeginTrip sessions.
+// Feeds every point of every trip through per-trip BeginTrip sessions —
+// the base class's rescoring reference sessions when `rescoring` is set.
 void DriveSessions(const TrajectoryScorer* scorer,
-                   const std::vector<Trip>& trips,
+                   const std::vector<Trip>& trips, bool rescoring,
                    std::vector<std::vector<double>>* scores_out) {
   for (size_t i = 0; i < trips.size(); ++i) {
-    auto session = scorer->BeginTrip(trips[i]);
+    auto session = rescoring ? scorer->TrajectoryScorer::BeginTrip(trips[i])
+                             : scorer->BeginTrip(trips[i]);
     std::vector<double>* scores =
         scores_out != nullptr ? &(*scores_out)[i] : nullptr;
     if (scores != nullptr) scores->clear();
@@ -237,13 +238,13 @@ ThroughputRow MeasureOnline(const std::string& city,
   // Same protocol for all three paths (best of 3 warm reps), so the
   // published speedups compare like with like.
   constexpr int kReps = 3;
-  SetOnlineRescoringForced(true);
-  const double rescoring_s =
-      BestOf(kReps, [&] { DriveSessions(scorer, trips, nullptr); });
-  SetOnlineRescoringForced(false);
+  const double rescoring_s = BestOf(kReps, [&] {
+    DriveSessions(scorer, trips, /*rescoring=*/true, nullptr);
+  });
   std::vector<std::vector<double>> incremental(trips.size());
-  const double incremental_s =
-      BestOf(kReps, [&] { DriveSessions(scorer, trips, &incremental); });
+  const double incremental_s = BestOf(kReps, [&] {
+    DriveSessions(scorer, trips, /*rescoring=*/false, &incremental);
+  });
   for (size_t i = 0; i < trips.size(); ++i) {
     for (size_t k = 0; k < reference[i].size(); ++k) {
       row.max_abs_diff = std::max(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "nn/checkpoint.h"
 #include "nn/modules.h"
@@ -199,15 +200,16 @@ void CausalTad::RebuildScalingTable() {
 }
 
 void CausalTad::RebuildServingCache() {
-  tg_out_wt_ = std::make_shared<const std::vector<float>>(
-      tg_->PackedOutWeightsTransposed());
   // Keep the int8 serving copies in sync with the fp32 weights. Only pay
   // the quantization pass when the switch is on; with it off the fp32 path
-  // never consults the copies.
+  // never consults the copies. The serving tables project the fresh rows,
+  // so they are built after.
   if (nn::Int8EmbeddingsEnabled()) {
     tg_->RefreshQuantizedEmbeddings();
     rp_->RefreshQuantizedEmbeddings();
   }
+  tg_tables_ = std::make_shared<const TgVae::ServingTables>(
+      tg_->BuildServingTables());
 }
 
 double CausalTad::RpOnlyScore(const traj::Trip& trip,
@@ -249,66 +251,14 @@ double CausalTad::Score(const traj::Trip& trip, int64_t prefix_len) const {
 std::vector<double> CausalTad::ScoreBatchVariantLambda(
     std::span<const traj::Trip> trips, std::span<const int64_t> prefix_lens,
     ScoreVariant variant, double lambda) const {
-  const size_t batch = trips.size();
-  std::vector<double> scores(batch, 0.0);
-  if (batch == 0) return scores;
-
-  // Clamp prefixes exactly like the per-trip path.
-  std::vector<int64_t> prefixes(batch);
-  for (size_t i = 0; i < batch; ++i) {
-    const int64_t n = trips[i].route.size();
-    int64_t p = i < prefix_lens.size() ? prefix_lens[i] : n;
-    if (p <= 0 || p > n) p = n;
-    prefixes[i] = p;
+  std::vector<std::vector<int64_t>> checkpoints(trips.size());
+  for (size_t i = 0; i < trips.size(); ++i) {
+    checkpoints[i] = {i < prefix_lens.size() ? prefix_lens[i] : 0};
   }
-
-  if (variant == ScoreVariant::kScalingOnly) {
-    // One RP-VAE batch per departure slot (segments of same-slot trips are
-    // scored together; slot is irrelevant without time conditioning).
-    std::vector<std::vector<roadnet::SegmentId>> slot_segments;
-    std::vector<std::vector<size_t>> slot_owners;
-    std::vector<int> slot_of;  // dense slot index -> time slot value
-    for (size_t i = 0; i < batch; ++i) {
-      const int slot = rp_->time_conditioned() ? trips[i].time_slot : 0;
-      size_t dense = 0;
-      while (dense < slot_of.size() && slot_of[dense] != slot) ++dense;
-      if (dense == slot_of.size()) {
-        slot_of.push_back(slot);
-        slot_segments.emplace_back();
-        slot_owners.emplace_back();
-      }
-      for (int64_t j = 0; j < prefixes[i]; ++j) {
-        slot_segments[dense].push_back(trips[i].route.segments[j]);
-        slot_owners[dense].push_back(i);
-      }
-    }
-    for (size_t dense = 0; dense < slot_of.size(); ++dense) {
-      const std::vector<double> nll =
-          rp_->SegmentNllBatch(slot_segments[dense], slot_of[dense]);
-      for (size_t k = 0; k < nll.size(); ++k) {
-        scores[slot_owners[dense][k]] += nll[k];
-      }
-    }
-    return scores;
-  }
-
-  const std::vector<TgVae::ScoreParts> parts =
-      tg_->ScoreBatch(trips, prefixes);
-  for (size_t i = 0; i < batch; ++i) {
-    scores[i] = parts[i].PrefixScore(prefixes[i]);
-  }
-  if (variant == ScoreVariant::kFull) {
-    CAUSALTAD_CHECK(!scaling_table_.empty()) << "call Fit() or Load() first";
-    for (size_t i = 0; i < batch; ++i) {
-      const int slot =
-          scaling_table_.num_slots() > 1 ? trips[i].time_slot : 0;
-      for (int64_t j = 0; j < prefixes[i]; ++j) {
-        scores[i] -=
-            lambda * scaling_table_.log_scaling(trips[i].route.segments[j],
-                                                slot);
-      }
-    }
-  }
+  const std::vector<std::vector<double>> swept =
+      ScoreCheckpointsVariantLambda(trips, checkpoints, variant, lambda);
+  std::vector<double> scores(trips.size());
+  for (size_t i = 0; i < trips.size(); ++i) scores[i] = swept[i][0];
   return scores;
 }
 
@@ -348,19 +298,29 @@ std::vector<std::vector<double>> CausalTad::ScoreCheckpointsVariantLambda(
   }
 
   if (variant == ScoreVariant::kScalingOnly) {
-    // Per-position segment NLLs batched per departure slot, then every
-    // checkpoint is a running prefix sum.
+    // Per-position segment NLLs, one RP-VAE batch per departure slot (the
+    // slot is irrelevant without time conditioning); every checkpoint is
+    // then a running prefix sum.
+    std::map<int, std::vector<size_t>> slot_trips;
     for (size_t i = 0; i < batch; ++i) {
-      const int slot = rp_->time_conditioned() ? trips[i].time_slot : 0;
-      const std::vector<double> nll = rp_->SegmentNllBatch(
-          std::span<const roadnet::SegmentId>(trips[i].route.segments)
-              .first(max_k[i]),
-          slot);
-      std::vector<double> prefix(max_k[i] + 1, 0.0);
-      for (int64_t p = 0; p < max_k[i]; ++p) {
-        prefix[p + 1] = prefix[p] + nll[p];
+      slot_trips[rp_->time_conditioned() ? trips[i].time_slot : 0].push_back(
+          i);
+    }
+    for (const auto& [slot, members] : slot_trips) {
+      std::vector<roadnet::SegmentId> segments;
+      for (const size_t i : members) {
+        const auto& segs = trips[i].route.segments;
+        segments.insert(segments.end(), segs.begin(), segs.begin() + max_k[i]);
       }
-      for (size_t j = 0; j < ks[i].size(); ++j) out[i][j] = prefix[ks[i][j]];
+      const std::vector<double> nll = rp_->SegmentNllBatch(segments, slot);
+      size_t pos = 0;
+      for (const size_t i : members) {
+        std::vector<double> prefix(max_k[i] + 1, 0.0);
+        for (int64_t p = 0; p < max_k[i]; ++p) {
+          prefix[p + 1] = prefix[p] + nll[pos++];
+        }
+        for (size_t j = 0; j < ks[i].size(); ++j) out[i][j] = prefix[ks[i][j]];
+      }
     }
     return out;
   }
@@ -368,7 +328,8 @@ std::vector<std::vector<double>> CausalTad::ScoreCheckpointsVariantLambda(
   // One [B, hidden] TG-VAE roll to each trip's largest checkpoint; every
   // checkpoint is then a PrefixScore read plus (for the full model) a
   // scaling prefix sum.
-  const std::vector<TgVae::ScoreParts> parts = tg_->ScoreBatch(trips, max_k);
+  const std::vector<TgVae::ScoreParts> parts =
+      tg_->ScoreBatch(trips, max_k, tg_tables_.get());
   const bool full = variant == ScoreVariant::kFull;
   if (full) {
     CAUSALTAD_CHECK(!scaling_table_.empty()) << "call Fit() or Load() first";
@@ -420,50 +381,57 @@ CausalTad::SegmentDecomposition CausalTad::Decompose(
 
 namespace {
 
-/// O(1)-per-segment online session (paper §V-D): per update, one *fused*
-/// no-grad GRU step over the carried [1, hidden] row, one successor-masked
-/// softmax read off the transposed output weights, and one scaling-table
-/// lookup. With a null `table` (or λ = 0) this is the TG-VAE-only session.
+/// O(1)-per-segment online session (paper §V-D): per update, one
+/// single-row TgVae::StepNllRows over the carried [1, hidden] state and one
+/// scaling-table lookup. With a null `table` (or λ = 0) this is the
+/// TG-VAE-only session. The running sums accumulate in ScoreCheckpoints'
+/// order, so a trip scored alone reads the same bits both ways.
 class CausalTadOnlineSession : public models::OnlineScorer {
  public:
   CausalTadOnlineSession(const TgVae* tg,
-                         std::shared_ptr<const std::vector<float>> wt,
+                         std::shared_ptr<const TgVae::ServingTables> tables,
                          const ScalingTable* table, double lambda,
                          roadnet::SegmentId source,
                          roadnet::SegmentId destination, int slot)
       : tg_(tg),
-        wt_(std::move(wt)),
+        tables_(std::move(tables)),
         table_(table),
         lambda_(lambda),
         slot_(slot) {
-    const TgVae::TripContext ctx = tg->BeginTrip(source, destination);
-    base_ = ctx.sd_nll + ctx.kl;
-    hidden_ = ctx.h0.value();
+    TgVae::SdContext ctx = tg->EncodeSdBatch(
+        std::span<const roadnet::SegmentId>(&source, 1),
+        std::span<const roadnet::SegmentId>(&destination, 1));
+    nll_ = ctx.sd_nll[0] + ctx.kl[0];
+    hidden_ = std::move(ctx.h0);
   }
 
   double Update(roadnet::SegmentId segment) override {
-    if (has_last_) {
-      nll_ += tg_->StepNllFused(last_, segment, &hidden_, wt_->data());
+    if (last_ != roadnet::kInvalidSegment) {
+      const int64_t row = 0;
+      double nll = 0.0;
+      tg_->StepNllRows(*tables_,
+                       std::span<const roadnet::SegmentId>(&last_, 1),
+                       std::span<const roadnet::SegmentId>(&segment, 1),
+                       std::span<const int64_t>(&row, 1), hidden_.data(),
+                       &nll);
+      nll_ += nll;
     }
     if (table_ != nullptr) scaling_ += table_->log_scaling(segment, slot_);
     last_ = segment;
-    has_last_ = true;
-    return base_ + nll_ - lambda_ * scaling_;
+    return nll_ - lambda_ * scaling_;
   }
 
  private:
   const TgVae* tg_;
-  // Shared with CausalTad's serving cache; keeps the transposed weights
-  // alive even if the model is re-fitted while this session streams.
-  std::shared_ptr<const std::vector<float>> wt_;
+  // Shared with CausalTad's serving cache; keeps the tables alive even if
+  // the model is re-fitted while this session streams.
+  std::shared_ptr<const TgVae::ServingTables> tables_;
   const ScalingTable* table_;
   double lambda_;
   int slot_ = 0;
-  double base_ = 0.0;
+  double nll_ = 0.0;   // sd_nll + kl + Σ step NLLs so far
   nn::Tensor hidden_;  // [1, hidden], advanced in place
   roadnet::SegmentId last_ = roadnet::kInvalidSegment;
-  bool has_last_ = false;
-  double nll_ = 0.0;
   double scaling_ = 0.0;
 };
 
@@ -496,7 +464,7 @@ std::unique_ptr<models::OnlineScorer> CausalTad::BeginTripVariant(
       return std::make_unique<RpOnlineSession>(rp_, rp_slot);
     case ScoreVariant::kLikelihoodOnly:
       return std::make_unique<CausalTadOnlineSession>(
-          tg_, tg_out_wt_, nullptr, 0.0, trip.route.segments.front(),
+          tg_, tg_tables_, nullptr, 0.0, trip.route.segments.front(),
           trip.route.segments.back(), 0);
     case ScoreVariant::kFull:
       break;
@@ -504,15 +472,12 @@ std::unique_ptr<models::OnlineScorer> CausalTad::BeginTripVariant(
   CAUSALTAD_CHECK(!scaling_table_.empty()) << "call Fit() or Load() first";
   const int slot = scaling_table_.num_slots() > 1 ? trip.time_slot : 0;
   return std::make_unique<CausalTadOnlineSession>(
-      tg_, tg_out_wt_, &scaling_table_, lambda,
+      tg_, tg_tables_, &scaling_table_, lambda,
       trip.route.segments.front(), trip.route.segments.back(), slot);
 }
 
 std::unique_ptr<models::OnlineScorer> CausalTad::BeginTrip(
     const traj::Trip& trip) const {
-  if (models::OnlineRescoringForced()) {
-    return TrajectoryScorer::BeginTrip(trip);
-  }
   return BeginTripVariant(trip, ScoreVariant::kFull, config_.lambda);
 }
 

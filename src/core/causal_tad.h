@@ -53,7 +53,11 @@ const char* ScoreVariantName(ScoreVariant variant);
 ///   score(t, c) = -log P(c,t) - λ Σ_i log E_{e_i~P(E_i|t_i)}[1/P(t_i|e_i)]
 ///
 /// Online updates are O(1) per incoming segment: one GRU step over the
-/// successor-masked softmax plus a table lookup (paper §V-D).
+/// successor-masked softmax plus a table lookup (paper §V-D). Every no-grad
+/// path — ScoreBatch, ScoreCheckpoints, the BeginTrip sessions and
+/// serve::StreamingBatcher — runs the same two TG-VAE functions,
+/// TgVae::EncodeSdBatch and TgVae::StepNllRows, over the cached
+/// serving_tables(); the taped Score is the independent reference.
 class CausalTad : public models::TrajectoryScorer {
  public:
   CausalTad(const roadnet::RoadNetwork* network,
@@ -81,16 +85,16 @@ class CausalTad : public models::TrajectoryScorer {
   double ScoreVariantLambda(const traj::Trip& trip, int64_t prefix_len,
                             ScoreVariant variant, double lambda) const;
 
-  /// Batched twin of ScoreVariantLambda on the no-grad fast path: one
-  /// [B, hidden] TG-VAE roll (and one RP-VAE batch per time slot for the
-  /// scaling ablation) instead of B separate taped loops.
+  /// Batched twin of ScoreVariantLambda: ScoreCheckpointsVariantLambda
+  /// with one checkpoint per trip.
   std::vector<double> ScoreBatchVariantLambda(
       std::span<const traj::Trip> trips, std::span<const int64_t> prefix_lens,
       ScoreVariant variant, double lambda) const;
 
-  /// Checkpointed twin of ScoreBatchVariantLambda: out[i][j] ==
+  /// Checkpointed batch scoring on the no-grad path: out[i][j] ==
   /// ScoreVariantLambda(trips[i], checkpoints[i][j], ...), computed from ONE
-  /// incremental roll per trip (to its largest checkpoint) plus running
+  /// [B, hidden] TG-VAE roll to each trip's largest checkpoint (or one
+  /// RP-VAE batch per time slot for the scaling ablation) plus running
   /// prefix sums — an R-ratio observed-ratio sweep (fig6) costs one roll
   /// instead of R independent re-scores.
   std::vector<std::vector<double>> ScoreCheckpointsVariantLambda(
@@ -100,19 +104,19 @@ class CausalTad : public models::TrajectoryScorer {
 
   /// Incremental session for an ablation variant (kLikelihoodOnly sessions
   /// are what the paper times as "TG-VAE" in Fig. 7(b)). O(1) per point:
-  /// one fused no-grad GRU step, one successor-masked softmax, one
-  /// scaling-table lookup.
+  /// one single-row TgVae::StepNllRows and one scaling-table lookup, after
+  /// a one-pair TgVae::EncodeSdBatch at the start.
   std::unique_ptr<models::OnlineScorer> BeginTripVariant(
       const traj::Trip& trip, ScoreVariant variant, double lambda) const;
 
-  /// TG-VAE output weights transposed to [vocab, hidden] — derived serving
-  /// state rebuilt alongside the scaling table (construction, Fit, Load).
-  /// The streaming engine and the online sessions read successor-masked
-  /// logits from it as contiguous dots. Shared ownership: a Fit()/Load()
-  /// under live sessions swaps in a fresh buffer while they keep the one
-  /// they started with (scores stay self-consistent, nothing dangles).
-  std::shared_ptr<const std::vector<float>> packed_out_weights() const {
-    return tg_out_wt_;
+  /// TG-VAE serving tables (transposed output weights and per-segment
+  /// gate-input projections, see TgVae::ServingTables) — derived state
+  /// rebuilt alongside the scaling table (construction, Fit, Load). Shared
+  /// ownership: a Fit()/Load() under live sessions swaps in a fresh set
+  /// while they keep the one they started with (scores stay
+  /// self-consistent, nothing dangles).
+  std::shared_ptr<const TgVae::ServingTables> serving_tables() const {
+    return tg_tables_;
   }
 
   /// Per-segment decomposition for the paper's Fig. 4: the likelihood NLL
@@ -126,11 +130,11 @@ class CausalTad : public models::TrajectoryScorer {
   };
   SegmentDecomposition Decompose(const traj::Trip& trip) const;
 
-  /// Re-derives the no-grad serving caches (packed TG output weights and,
-  /// when the int8-embedding switch is on, the quantized tables) from the
-  /// current fp32 parameters. Fit/Load call it automatically; call it after
-  /// flipping nn::SetInt8Embeddings at runtime so serving reads see fresh
-  /// quantized rows.
+  /// Re-derives the no-grad serving caches (the quantized embedding rows
+  /// when the int8-embedding switch is on, then the TG-VAE serving tables)
+  /// from the current fp32 parameters. Fit/Load call it automatically; call
+  /// it after flipping nn::SetInt8Embeddings at runtime so serving reads
+  /// see fresh quantized rows.
   void RebuildServingCache();
 
   void set_lambda(float lambda) { config_.lambda = lambda; }
@@ -153,7 +157,8 @@ class CausalTad : public models::TrajectoryScorer {
   TgVae* tg_ = nullptr;
   RpVae* rp_ = nullptr;
   ScalingTable scaling_table_;
-  std::shared_ptr<const std::vector<float>> tg_out_wt_;  // see packed_out_weights()
+  // See serving_tables().
+  std::shared_ptr<const TgVae::ServingTables> tg_tables_;
 };
 
 /// Non-owning adapter exposing one ablation variant of a fitted CausalTad
@@ -187,9 +192,6 @@ class CausalTadVariant : public models::TrajectoryScorer {
   }
   std::unique_ptr<models::OnlineScorer> BeginTrip(
       const traj::Trip& trip) const override {
-    if (models::OnlineRescoringForced()) {
-      return TrajectoryScorer::BeginTrip(trip);
-    }
     return model_->BeginTripVariant(trip, variant_, model_->lambda());
   }
   util::Status Save(const std::string&) const override {

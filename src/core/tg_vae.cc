@@ -244,74 +244,108 @@ TgVae::ScoreParts TgVae::Score(const traj::Trip& trip) const {
 }
 
 std::vector<TgVae::ScoreParts> TgVae::ScoreBatch(
-    std::span<const traj::Trip> trips,
-    std::span<const int64_t> prefix_lens) const {
+    std::span<const traj::Trip> trips, std::span<const int64_t> prefix_lens,
+    const ServingTables* tables) const {
   // Shard rows across the worker pool (scores are per-row independent; the
   // no-grad guard and scratch arena are thread-local). Shards are
   // length-bucketed by decode-step count: each worker's [B, hidden] roll
-  // sees near-uniform row lengths (minimal compaction churn) and shards
+  // sees near-uniform row lengths (few idle rows per step) and shards
   // carry near-equal total work, unlike equal-count splits.
   const int64_t n = static_cast<int64_t>(trips.size());
   std::vector<ScoreParts> parts(n);
   if (n == 0) return parts;
-  std::vector<int64_t> costs(n);
+  ServingTables own;
+  if (tables == nullptr) {
+    own = BuildServingTables();
+    tables = &own;
+  }
+  // steps[i] = number of step NLLs trip i needs (its prefix budget).
+  std::vector<int64_t> steps(n), costs(n);
   for (int64_t i = 0; i < n; ++i) {
-    int64_t steps = trips[i].route.size() - 1;
+    CAUSALTAD_CHECK_GE(trips[i].route.size(), 1);
+    steps[i] = trips[i].route.size() - 1;
     if (i < static_cast<int64_t>(prefix_lens.size()) && prefix_lens[i] > 0) {
-      steps = std::min(steps, prefix_lens[i] - 1);
+      steps[i] = std::min(steps[i], prefix_lens[i] - 1);
     }
-    costs[i] = steps + 1;
+    costs[i] = steps[i] + 1;
   }
   const std::vector<std::vector<int64_t>> shards = util::RowShards(costs, 8);
   util::ParallelFor(
       static_cast<int64_t>(shards.size()), static_cast<int>(shards.size()),
       [&](int64_t begin, int64_t end) {
         for (int64_t s = begin; s < end; ++s) {
-          ScoreBatchChunk(trips, prefix_lens, shards[s], parts.data());
+          ScoreBatchChunk(*tables, trips, steps, shards[s], parts.data());
         }
       });
   return parts;
 }
 
-void TgVae::ScoreBatchChunk(std::span<const traj::Trip> all_trips,
-                            std::span<const int64_t> prefix_lens,
+void TgVae::ScoreBatchChunk(const ServingTables& tables,
+                            std::span<const traj::Trip> trips,
+                            std::span<const int64_t> steps,
                             std::span<const int64_t> rows,
                             ScoreParts* out) const {
   const int64_t batch = static_cast<int64_t>(rows.size());
   if (batch == 0) return;
-  const nn::InferenceGuard no_grad;
-  const nn::kernels::Kernels& kern = nn::kernels::Active();
-  // Local views of this shard's rows; `parts` aliases the caller's output
-  // slots so the body below reads like the contiguous-chunk original.
-  std::vector<const traj::Trip*> trips(batch);
-  std::vector<ScoreParts*> parts(batch);
-  for (int64_t a = 0; a < batch; ++a) {
-    trips[a] = &all_trips[rows[a]];
-    parts[a] = &out[rows[a]];
+  std::vector<roadnet::SegmentId> sources(batch), destinations(batch);
+  int64_t max_steps = 0;
+  for (int64_t i = 0; i < batch; ++i) {
+    sources[i] = trips[rows[i]].route.segments.front();
+    destinations[i] = trips[rows[i]].route.segments.back();
+    max_steps = std::max(max_steps, steps[rows[i]]);
+  }
+  SdContext ctx = EncodeSdBatch(sources, destinations);
+  for (int64_t i = 0; i < batch; ++i) {
+    ScoreParts& part = out[rows[i]];
+    part.sd_nll = ctx.sd_nll[i];
+    part.kl = ctx.kl[i];
+    part.step_nll.reserve(steps[rows[i]]);
   }
 
-  // SD encode, deduplicated: trips sharing an SD pair (common under the
-  // paper's ride-hailing workload — many concurrent orders between the same
-  // endpoints) get one posterior, one SD-decoder CE, and one h0 row. The
-  // expensive [U, vocab] head logits then scale with unique pairs U, not
-  // batch size.
-  std::vector<int32_t> s_ids(batch), d_ids(batch);
+  // Masked time loop over the [B, hidden] states: step j advances every
+  // row whose budget reaches it.
+  std::vector<roadnet::SegmentId> current, next;
+  std::vector<int64_t> live;
+  std::vector<double> nll;
+  for (int64_t j = 0; j < max_steps; ++j) {
+    current.clear();
+    next.clear();
+    live.clear();
+    for (int64_t i = 0; i < batch; ++i) {
+      if (steps[rows[i]] <= j) continue;
+      const auto& segs = trips[rows[i]].route.segments;
+      current.push_back(segs[j]);
+      next.push_back(segs[j + 1]);
+      live.push_back(i);
+    }
+    nll.resize(live.size());
+    StepNllRows(tables, current, next, live, ctx.h0.data(), nll.data());
+    for (size_t k = 0; k < live.size(); ++k) {
+      out[rows[live[k]]].step_nll.push_back(nll[k]);
+    }
+  }
+}
+
+TgVae::SdContext TgVae::EncodeSdBatch(
+    std::span<const roadnet::SegmentId> sources,
+    std::span<const roadnet::SegmentId> destinations) const {
+  CAUSALTAD_CHECK_EQ(sources.size(), destinations.size());
+  const nn::InferenceGuard no_grad;
+  const nn::kernels::Kernels& kern = nn::kernels::Active();
+  const int64_t batch = static_cast<int64_t>(sources.size());
+  // Deduplicate: concurrent orders between the same endpoints (the paper's
+  // ride-hailing workload) get one posterior, one SD-decoder CE and one h0.
   std::vector<int64_t> pair_of(batch);  // trip -> unique-pair index
   std::unordered_map<int64_t, int64_t> pair_index;
   std::vector<int32_t> u_s, u_d;  // unique pair endpoints
-  int64_t max_steps = 0;
   for (int64_t i = 0; i < batch; ++i) {
-    const auto& segs = trips[i]->route.segments;
-    CAUSALTAD_CHECK_GE(segs.size(), 1u);
-    s_ids[i] = segs.front();
-    d_ids[i] = segs.back();
-    const int64_t key =
-        (static_cast<int64_t>(s_ids[i]) << 32) | static_cast<uint32_t>(d_ids[i]);
+    const int64_t key = (static_cast<int64_t>(sources[i]) << 32) |
+                        static_cast<uint32_t>(destinations[i]);
     const auto [it, inserted] =
         pair_index.try_emplace(key, static_cast<int64_t>(u_s.size()));
     if (inserted) {
-      u_s.push_back(s_ids[i]);
-      u_d.push_back(d_ids[i]);
+      u_s.push_back(sources[i]);
+      u_d.push_back(destinations[i]);
     }
     pair_of[i] = it->second;
   }
@@ -340,157 +374,18 @@ void TgVae::ScoreBatchChunk(std::span<const traj::Trip> all_trips,
                                config_.vocab, u_d[u]);
     }
   }
-  for (int64_t i = 0; i < batch; ++i) {
-    parts[i]->kl = pair_kl[pair_of[i]];
-    parts[i]->sd_nll = pair_sd_nll[pair_of[i]];
-  }
-
-  // Roll all rows through one [B, hidden] decoder state, compacting the
-  // batch as short rows finish so long rows stop paying for dead ones.
-  // The output weights are transposed once up front so every
-  // successor-masked logit is a contiguous dot instead of a vocab-strided
-  // column walk — the same O(d·|successors|) step cost as GatherColsDot,
-  // but cache-friendly.
-  const int64_t hd = config_.hidden_dim;
-  nn::internal::ArenaScope decode_scope;
-  float* wt = nullptr;  // out_.w() transposed: [vocab, hidden]
-  if (config_.road_constrained) {
-    wt = nn::internal::ArenaAlloc(config_.vocab * hd);
-    kern.pack_transpose(out_.w().value().data(), hd, config_.vocab, wt);
-  }
-
-  // steps[i] = number of step NLLs row i needs (per-row prefix budget);
-  // rows leave the batch once their count is reached.
-  std::vector<int64_t> steps(batch);
-  std::vector<int64_t> active(batch);  // position -> original row
-  for (int64_t i = 0; i < batch; ++i) {
-    steps[i] = static_cast<int64_t>(trips[i]->route.segments.size()) - 1;
-    if (rows[i] < static_cast<int64_t>(prefix_lens.size()) &&
-        prefix_lens[rows[i]] > 0) {
-      steps[i] = std::min(steps[i], prefix_lens[rows[i]] - 1);
-    }
-    max_steps = std::max(max_steps, steps[i]);
-    active[i] = i;
-    parts[i]->step_nll.reserve(steps[i]);
-  }
-
-  // Project every unique input segment through the gate input weights once;
-  // the recurrent loop then just gathers [3*hidden] rows per step instead
-  // of re-running the input matmuls.
-  std::vector<int32_t> dense_of(config_.vocab, -1);
-  std::vector<int32_t> unique_segs;
-  for (int64_t i = 0; i < batch; ++i) {
-    const auto& segs = trips[i]->route.segments;
-    for (int64_t j = 0; j < steps[i]; ++j) {
-      if (dense_of[segs[j]] < 0) {
-        dense_of[segs[j]] = static_cast<int32_t>(unique_segs.size());
-        unique_segs.push_back(segs[j]);
-      }
-    }
-  }
-  // When the int8 serving path is active the projection runs directly over
-  // the quantized rows (one int8 matmul per unique segment); otherwise it
-  // gathers fp32 rows as before. Both scorers (this batched chunk and the
-  // streaming StepNllRows) route through the same pair of code paths, so
-  // their per-step NLLs stay bit-identical for a given embedding mode.
-  nn::Tensor xw_table;
-  if (route_emb_.Int8Active()) {
-    xw_table = gru_.ProjectInputsQuantized(route_emb_.quantized_rows(),
-                                           route_emb_.row_scales(),
-                                           unique_segs, config_.emb_dim);
-  } else {
-    xw_table = gru_.ProjectInputs(
-        nn::GatherRows(route_emb_.table(), unique_segs).value());
-  }
-
   const nn::Var pair_h0 = nn::Tanh(h0_proj_.Forward(mu));  // [U, hidden]
-  nn::Tensor h0_rows({batch, hd});
+  const int64_t hd = config_.hidden_dim;
+  SdContext ctx;
+  ctx.h0 = nn::Tensor({batch, hd});
+  ctx.sd_nll.resize(batch);
+  ctx.kl.resize(batch);
   for (int64_t i = 0; i < batch; ++i) {
-    std::copy(pair_h0.value().data() + pair_of[i] * hd,
-              pair_h0.value().data() + (pair_of[i] + 1) * hd,
-              h0_rows.data() + i * hd);
+    const float* row = pair_h0.value().data() + pair_of[i] * hd;
+    std::copy(row, row + hd, ctx.h0.data() + i * hd);
+    ctx.sd_nll[i] = pair_sd_nll[pair_of[i]];
+    ctx.kl[i] = pair_kl[pair_of[i]];
   }
-  nn::Var h = nn::Constant(std::move(h0_rows));  // [B, hidden]
-  for (int64_t j = 0; j < max_steps; ++j) {
-    // Compact: drop rows whose step budget is exhausted.
-    size_t keep = 0;
-    for (size_t a = 0; a < active.size(); ++a) {
-      if (steps[active[a]] > j) ++keep;
-    }
-    if (keep != active.size()) {
-      nn::Tensor compact({static_cast<int64_t>(keep), hd});
-      size_t pos = 0, write = 0;
-      for (size_t a = 0; a < active.size(); ++a) {
-        if (steps[active[a]] > j) {
-          std::copy(h.value().data() + a * hd, h.value().data() + (a + 1) * hd,
-                    compact.data() + pos * hd);
-          ++pos;
-          active[write++] = active[a];
-        }
-      }
-      active.resize(keep);
-      h = nn::Constant(std::move(compact));
-    }
-
-    const int64_t three_h = 3 * hd;
-    nn::internal::ArenaScope step_scope;
-    float* xw = nn::internal::ArenaAlloc(
-        static_cast<int64_t>(active.size()) * three_h);
-    for (size_t a = 0; a < active.size(); ++a) {
-      const int32_t dense = dense_of[trips[active[a]]->route.segments[j]];
-      std::copy(xw_table.data() + dense * three_h,
-                xw_table.data() + (dense + 1) * three_h, xw + a * three_h);
-    }
-    h = gru_.StepFusedProjected(xw, static_cast<int64_t>(active.size()), h);
-    const float* b = out_.b().value().data();
-    float* full_logits = nullptr;  // unconstrained ablation: [A, vocab]
-    if (!config_.road_constrained) {
-      full_logits = nn::internal::ArenaAlloc(
-          static_cast<int64_t>(active.size()) * config_.vocab);
-      kern.matmul_packed(h.value().data(), out_.w().value().data(),
-                         full_logits, static_cast<int64_t>(active.size()), hd,
-                         config_.vocab, /*accumulate=*/false,
-                         /*b_pretransposed=*/false);
-    }
-    for (size_t a = 0; a < active.size(); ++a) {
-      const int64_t i = active[a];
-      const auto& segs = trips[i]->route.segments;
-      const float* hrow = h.value().data() + a * hd;
-      if (config_.road_constrained) {
-        const auto successors = network_->Successors(segs[j]);
-        const int64_t k = static_cast<int64_t>(successors.size());
-        nn::internal::ArenaScope scope;
-        float* logits = nn::internal::ArenaAlloc(k);
-        int64_t target_pos = -1;
-        for (int64_t c = 0; c < k; ++c) {
-          const int32_t col = successors[c];
-          if (col == segs[j + 1]) target_pos = c;
-          logits[c] = b[col] + kern.dot(hrow, wt + col * hd, hd);
-        }
-        CAUSALTAD_CHECK_GE(target_pos, 0) << "route is not network-valid";
-        parts[i]->step_nll.push_back(kern.softmax_nll_row(logits, k,
-                                                          target_pos));
-      } else {
-        float* logits = full_logits + a * config_.vocab;
-        for (int64_t c = 0; c < config_.vocab; ++c) logits[c] += b[c];
-        parts[i]->step_nll.push_back(
-            kern.softmax_nll_row(logits, config_.vocab, segs[j + 1]));
-      }
-    }
-  }
-}
-
-TgVae::TripContext TgVae::BeginTrip(roadnet::SegmentId source,
-                                    roadnet::SegmentId destination) const {
-  // No-grad: session contexts are inference state, never back-propagated.
-  const nn::InferenceGuard no_grad;
-  TripContext ctx;
-  const Forwarded f = EncodeSd(source, destination, /*rng=*/nullptr);
-  ctx.kl = nn::KlStandardNormal(f.mu, f.logvar).value().Item();
-  ctx.sd_nll = config_.use_sd_decoder
-                   ? SdDecoderNll(f.r, source, destination).value().Item()
-                   : 0.0;
-  ctx.h0 = nn::Tanh(h0_proj_.Forward(f.r));
   return ctx;
 }
 
@@ -506,22 +401,43 @@ void TgVae::RefreshQuantizedEmbeddings() {
   sd_emb_.RefreshQuantized();
 }
 
-std::vector<float> TgVae::PackedOutWeightsTransposed() const {
-  std::vector<float> wt(config_.vocab * config_.hidden_dim);
+TgVae::ServingTables TgVae::BuildServingTables() const {
+  const nn::InferenceGuard no_grad;
+  const int64_t vocab = config_.vocab;
+  ServingTables tables;
+  tables.out_wt = nn::Tensor({vocab, config_.hidden_dim});
   nn::kernels::Active().pack_transpose(out_.w().value().data(),
-                                       config_.hidden_dim, config_.vocab,
-                                       wt.data());
-  return wt;
+                                       config_.hidden_dim, vocab,
+                                       tables.out_wt.data());
+  tables.gate_in = gru_.ProjectInputs(route_emb_.table().value());
+  if (route_emb_.has_quantized()) {
+    tables.gate_in_i8 = gru_.ProjectInputsQuantized(
+        route_emb_.quantized_rows(), route_emb_.row_scales(), vocab,
+        config_.emb_dim);
+  }
+  return tables;
 }
 
-void TgVae::StepNllRows(std::span<const roadnet::SegmentId> current,
+const float* TgVae::GateInputs(const ServingTables& tables) const {
+  if (route_emb_.Int8Active()) {
+    CAUSALTAD_CHECK(tables.gate_in_i8.defined())
+        << "int8 rows were quantized after the serving tables were built";
+    return tables.gate_in_i8.data();
+  }
+  return tables.gate_in.data();
+}
+
+void TgVae::StepNllRows(const ServingTables& tables,
+                        std::span<const roadnet::SegmentId> current,
                         std::span<const roadnet::SegmentId> next,
                         std::span<const int64_t> rows, float* states,
-                        const float* wt, double* nll) const {
+                        double* nll) const {
   const int64_t n = static_cast<int64_t>(current.size());
   if (n == 0) return;
   const int64_t hd = config_.hidden_dim;
-  const int64_t emb_dim = config_.emb_dim;
+  const int64_t three_h = 3 * hd;
+  const float* gate_in = GateInputs(tables);
+  const float* wt = tables.out_wt.data();
   // Entries are independent (distinct state rows), so shard them across the
   // worker pool; each worker scopes its own no-grad guard and arena and
   // advances its slice of the shared state matrix with one fused GRU step.
@@ -532,33 +448,17 @@ void TgVae::StepNllRows(std::span<const roadnet::SegmentId> current,
         const nn::InferenceGuard no_grad;
         const nn::kernels::Kernels& kern = nn::kernels::Active();
         const int64_t count = end - begin;
-
-        // Project this slice's input embeddings through all three gate
-        // weights at once, then take one fused batched step. With int8
-        // embeddings active the projection multiplies the quantized rows
-        // directly (mirroring ScoreBatchChunk, so streaming and batched
-        // scoring agree bit-for-bit); otherwise it gathers fp32 rows.
-        std::vector<int32_t> ids(count);
-        for (int64_t k = 0; k < count; ++k) {
-          ids[k] = static_cast<int32_t>(current[begin + k]);
-        }
-        nn::Tensor xw;
-        if (route_emb_.Int8Active()) {
-          xw = gru_.ProjectInputsQuantized(route_emb_.quantized_rows(),
-                                           route_emb_.row_scales(), ids,
-                                           emb_dim);
-        } else {
-          nn::Tensor x({count, emb_dim});
-          route_emb_.GatherRowValues(ids, x.data());
-          xw = gru_.ProjectInputs(x);
-        }
+        nn::internal::ArenaScope scope;
+        float* xw = nn::internal::ArenaAlloc(count * three_h);
         nn::Tensor h({count, hd});
         for (int64_t k = 0; k < count; ++k) {
+          const float* in = gate_in + current[begin + k] * three_h;
+          std::copy(in, in + three_h, xw + k * three_h);
           const float* src = states + rows[begin + k] * hd;
           std::copy(src, src + hd, h.data() + k * hd);
         }
-        const nn::Var hv = gru_.StepFusedProjected(
-            xw.data(), count, nn::Constant(std::move(h)));
+        const nn::Var hv =
+            gru_.StepFusedProjected(xw, count, nn::Constant(std::move(h)));
         const float* hnew = hv.value().data();
         for (int64_t k = 0; k < count; ++k) {
           std::copy(hnew + k * hd, hnew + (k + 1) * hd,
@@ -573,7 +473,7 @@ void TgVae::StepNllRows(std::span<const roadnet::SegmentId> current,
           for (int64_t k = 0; k < count; ++k) {
             const auto successors = network_->Successors(current[begin + k]);
             const int64_t deg = static_cast<int64_t>(successors.size());
-            nn::internal::ArenaScope scope;
+            nn::internal::ArenaScope logits_scope;
             float* logits = nn::internal::ArenaAlloc(deg);
             int64_t target_pos = -1;
             const float* hrow = hnew + k * hd;
@@ -587,7 +487,6 @@ void TgVae::StepNllRows(std::span<const roadnet::SegmentId> current,
             nll[begin + k] = kern.softmax_nll_row(logits, deg, target_pos);
           }
         } else {
-          nn::internal::ArenaScope scope;
           float* logits = nn::internal::ArenaAlloc(count * config_.vocab);
           kern.matmul_packed(hnew, out_.w().value().data(), logits, count, hd,
                              config_.vocab, /*accumulate=*/false,
@@ -600,16 +499,6 @@ void TgVae::StepNllRows(std::span<const roadnet::SegmentId> current,
           }
         }
       });
-}
-
-double TgVae::StepNllFused(roadnet::SegmentId current, roadnet::SegmentId next,
-                           nn::Tensor* hidden, const float* wt) const {
-  const int64_t row = 0;
-  double nll = 0.0;
-  StepNllRows(std::span<const roadnet::SegmentId>(&current, 1),
-              std::span<const roadnet::SegmentId>(&next, 1),
-              std::span<const int64_t>(&row, 1), hidden->data(), wt, &nll);
-  return nll;
 }
 
 }  // namespace core

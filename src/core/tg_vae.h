@@ -67,68 +67,72 @@ class TgVae : public nn::Module {
   };
   ScoreParts Score(const traj::Trip& trip) const;
 
-  /// Batched inference scoring on the no-grad fast path: encodes all SD
-  /// pairs as one batch (deduplicated) and rolls every trip through one
-  /// [B, hidden] decoder state (fused GRU steps) with per-row
-  /// successor-masked next-segment prediction. parts[i] matches
-  /// Score(trips[i]). A non-empty `prefix_lens` caps row i's decoding at
-  /// the steps PrefixScore(prefix_lens[i]) needs (rows leave the batch
-  /// once their budget is spent); empty decodes full routes.
+  /// Derived no-grad tables the serving step reads, rebuilt whenever the
+  /// weights change (CausalTad caches one set next to the scaling table).
+  /// Memory: vocab × 4·hidden floats, plus vocab × 3·hidden more when int8
+  /// rows exist — the projection alone is ~0.35 MB at 610 segments and
+  /// hidden 48, ~58 MB at a 10^5-segment vocab.
+  struct ServingTables {
+    /// Output weights transposed to [vocab, hidden]: each successor-masked
+    /// logit is one contiguous dot instead of a vocab-strided column walk.
+    nn::Tensor out_wt;
+    /// Every segment's gate-input projection [vocab, 3·hidden], row s =
+    /// [Er(s)·Wz | Er(s)·Wr | Er(s)·Wh], from the fp32 embedding rows.
+    nn::Tensor gate_in;
+    /// The same projection from the int8 rows; empty unless quantized rows
+    /// existed when the tables were built.
+    nn::Tensor gate_in_i8;
+  };
+  ServingTables BuildServingTables() const;
+
+  /// Batched inference scoring on the no-grad path: EncodeSdBatch for the
+  /// SD contexts, then a masked time loop of StepNllRows over the [B,
+  /// hidden] state matrix. parts[i] matches Score(trips[i]). A non-empty
+  /// `prefix_lens` caps row i's decoding at the steps
+  /// PrefixScore(prefix_lens[i]) needs; empty decodes full routes.
+  /// `tables` null builds a fresh set for this call.
   std::vector<ScoreParts> ScoreBatch(
       std::span<const traj::Trip> trips,
-      std::span<const int64_t> prefix_lens = {}) const;
+      std::span<const int64_t> prefix_lens = {},
+      const ServingTables* tables = nullptr) const;
 
-  /// --- Online pieces (used by CausalTad::OnlineSession) ---
-
-  /// Per-trip constant part: posterior mean r from the SD pair, the initial
-  /// decoder state h0, and sd_nll + kl.
-  struct TripContext {
-    nn::Var h0;
-    double sd_nll = 0.0;
-    double kl = 0.0;
+  /// No-grad SD-pair context of a batch of trips: the initial decoder
+  /// states h0 = tanh(f(μ_r)) [B, hidden] and each trip's sd_nll and kl.
+  /// Trips sharing an SD pair share one encode, so the [U, vocab] SD-head
+  /// logits scale with unique pairs U, not batch size.
+  struct SdContext {
+    nn::Tensor h0;
+    std::vector<double> sd_nll;
+    std::vector<double> kl;
   };
-  TripContext BeginTrip(roadnet::SegmentId source,
-                        roadnet::SegmentId destination) const;
+  SdContext EncodeSdBatch(
+      std::span<const roadnet::SegmentId> sources,
+      std::span<const roadnet::SegmentId> destinations) const;
 
   /// One O(d² + deg·d) decoder step: consumes `current` and returns
-  /// -log P(next | ·) plus the updated hidden state. Taped reference path;
-  /// the serving engines use StepNllFused / StepNllRows instead.
+  /// -log P(next | ·) plus the updated hidden state. Taped reference path
+  /// for the no-grad StepNllRows.
   double StepNll(roadnet::SegmentId current, roadnet::SegmentId next,
                  nn::Var* hidden) const;
 
-  /// --- Streaming serving primitives (src/serve, CausalTad sessions) ---
-
-  /// Copy of the output weights transposed to [vocab, hidden], so each
-  /// successor-masked logit is one contiguous dot instead of a
-  /// vocab-strided column walk. Serving engines build this once per fitted
-  /// model (CausalTad re-derives it next to the scaling table) and pass it
-  /// to StepNllFused / StepNllRows.
-  std::vector<float> PackedOutWeightsTransposed() const;
-
-  /// Batched streaming advance over a shared state matrix: entry k consumes
-  /// transition current[k] -> next[k] on row rows[k] of `states`
-  /// ([*, hidden] row-major, rows distinct within one call), updating the
-  /// row in place and writing -log P(next[k] | r, t_<=) into nll[k]. One
-  /// fused GRU step plus one successor-masked softmax per entry, no tape;
-  /// entries shard across the worker pool. `wt` is
-  /// PackedOutWeightsTransposed() data (unused when road constraining is
-  /// off — the full-vocabulary logits go through the packed MatMul).
-  void StepNllRows(std::span<const roadnet::SegmentId> current,
+  /// The no-grad decoder step every serving path runs (ScoreBatch, the
+  /// CausalTad sessions, serve::StreamingBatcher): entry k consumes
+  /// transition current[k] -> next[k] on row rows[k] of `states` ([*,
+  /// hidden] row-major, rows distinct within one call), updating the row in
+  /// place and writing -log P(next[k] | r, t_<=) into nll[k]. One fused GRU
+  /// step over gate inputs gathered from `tables`, plus one
+  /// successor-masked softmax per entry (a full-vocabulary one when road
+  /// constraining is off); entries shard across the worker pool.
+  void StepNllRows(const ServingTables& tables,
+                   std::span<const roadnet::SegmentId> current,
                    std::span<const roadnet::SegmentId> next,
                    std::span<const int64_t> rows, float* states,
-                   const float* wt, double* nll) const;
-
-  /// Single-session fused twin of StepNll: advances the [1, hidden] state
-  /// in place with no tape allocation. This is the O(1)-per-point update of
-  /// the paper's online protocol (§V-D).
-  double StepNllFused(roadnet::SegmentId current, roadnet::SegmentId next,
-                      nn::Tensor* hidden, const float* wt) const;
+                   double* nll) const;
 
   /// Re-quantizes the int8 serving copies of the embedding tables from the
   /// current fp32 weights (no-op cost-wise beyond the copy; tables stay
   /// unused until nn::Int8EmbeddingsEnabled()). Serving caches call this
-  /// whenever the weights may have changed (CausalTad rebuilds it next to
-  /// the transposed output weights).
+  /// whenever the weights may have changed, before BuildServingTables.
   void RefreshQuantizedEmbeddings();
 
   const TgVaeConfig& config() const { return config_; }
@@ -145,13 +149,17 @@ class TgVae : public nn::Module {
   nn::Var StepCe(const nn::Var& hidden, roadnet::SegmentId current,
                  roadnet::SegmentId next) const;
 
-  /// Single-threaded ScoreBatch body for one shard of rows: reads
-  /// trips[rows[a]] / prefix_lens[rows[a]] and writes out[rows[a]].
-  /// ScoreBatch builds the shards (length-bucketed by decode steps when
-  /// enabled) and runs one chunk per worker.
-  void ScoreBatchChunk(std::span<const traj::Trip> trips,
-                       std::span<const int64_t> prefix_lens,
+  /// ScoreBatch body for one shard of rows: decodes steps[rows[a]] steps
+  /// of trips[rows[a]] and writes out[rows[a]]. ScoreBatch builds the
+  /// shards (length-bucketed by decode steps when enabled) and runs one
+  /// chunk per worker.
+  void ScoreBatchChunk(const ServingTables& tables,
+                       std::span<const traj::Trip> trips,
+                       std::span<const int64_t> steps,
                        std::span<const int64_t> rows, ScoreParts* out) const;
+  /// The gate-input projection StepNllRows reads: the int8 one while the
+  /// int8 embedding path is active, the fp32 one otherwise.
+  const float* GateInputs(const ServingTables& tables) const;
 
   const roadnet::RoadNetwork* network_;
   TgVaeConfig config_;

@@ -125,7 +125,6 @@ double Iboat::Score(const traj::Trip& trip, int64_t prefix_len) const {
 }
 
 std::unique_ptr<OnlineScorer> Iboat::BeginTrip(const traj::Trip& trip) const {
-  if (OnlineRescoringForced()) return TrajectoryScorer::BeginTrip(trip);
   // The adaptive working window IS the carried state — Score() itself
   // replays this session, so the incremental path is exact by construction.
   return std::make_unique<AdaptiveWindowScorer>(

@@ -689,7 +689,6 @@ class RnnVae::OnlineSession : public OnlineScorer {
 };
 
 std::unique_ptr<OnlineScorer> RnnVae::BeginTrip(const traj::Trip& trip) const {
-  if (OnlineRescoringForced()) return TrajectoryScorer::BeginTrip(trip);
   return std::make_unique<OnlineSession>(this, BeginOnline(trip));
 }
 

@@ -65,7 +65,6 @@ class RnnVae : public TrajectoryScorer {
   /// conditioned on the posterior of the *whole* prefix — exact parity with
   /// Score(trip, k) therefore costs O(prefix) fused decode steps per
   /// update, against the rescoring path's O(prefix) *taped* encode+decode.
-  /// Falls back to the rescoring reference while OnlineRescoringForced().
   std::unique_ptr<OnlineScorer> BeginTrip(
       const traj::Trip& trip) const override;
   util::Status Save(const std::string& path) const override;

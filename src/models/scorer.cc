@@ -1,30 +1,9 @@
 #include "models/scorer.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
 
 namespace causaltad {
 namespace models {
-namespace {
-
-bool RescoringDefault() {
-  const char* env = std::getenv("CAUSALTAD_ONLINE_RESCORE");
-  return env != nullptr && std::string_view(env) == "1";
-}
-
-std::atomic<bool> force_rescoring{RescoringDefault()};
-
-}  // namespace
-
-bool OnlineRescoringForced() {
-  return force_rescoring.load(std::memory_order_relaxed);
-}
-
-void SetOnlineRescoringForced(bool forced) {
-  force_rescoring.store(forced, std::memory_order_relaxed);
-}
 
 std::vector<std::vector<int64_t>> LengthSortedBatches(
     const std::vector<traj::Trip>& trips, int64_t batch_size,

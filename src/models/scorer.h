@@ -75,14 +75,6 @@ class OnlineScorer {
   virtual double Update(roadnet::SegmentId segment) = 0;
 };
 
-/// Forces every BeginTrip back to the O(prefix)-per-update rescoring
-/// reference path (replaying the growing prefix through Score). Defaults to
-/// off — models serve their incremental sessions; CAUSALTAD_ONLINE_RESCORE=1
-/// starts it on. The fig6 bench and the streaming parity tests A/B the two
-/// paths through this switch.
-bool OnlineRescoringForced();
-void SetOnlineRescoringForced(bool forced);
-
 /// Common interface for every anomaly detector in the evaluation: the
 /// CausalTAD core and all baselines. Higher scores mean more anomalous.
 class TrajectoryScorer {
@@ -132,8 +124,9 @@ class TrajectoryScorer {
   /// via OnlineScorer::Update). The base implementation re-scores the prefix
   /// on every update — O(prefix) per point; models with recurrent state
   /// override it with sessions that carry the state forward (O(1) per point
-  /// for the road-constrained decoders). Overrides fall back to the base
-  /// rescoring path while OnlineRescoringForced() is set.
+  /// for the road-constrained decoders). The base path stays the reference
+  /// the sessions are tested against; reach it on any scorer with the
+  /// qualified call scorer.models::TrajectoryScorer::BeginTrip(trip).
   virtual std::unique_ptr<OnlineScorer> BeginTrip(const traj::Trip& trip) const;
 
   /// Persists / restores the fitted model.

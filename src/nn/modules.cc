@@ -211,25 +211,12 @@ Tensor GruCell::ProjectInputs(const Tensor& xs) const {
 }
 
 Tensor GruCell::ProjectInputsQuantized(const int8_t* q, const float* scales,
-                                       std::span<const int32_t> ids,
-                                       int64_t in_dim) const {
-  const int64_t n = static_cast<int64_t>(ids.size());
-  const int64_t hd = hidden_dim_;
-  const Kernels& kern = kernels::Active();
+                                       int64_t rows, int64_t in_dim) const {
   internal::ArenaScope scope;
   float* fused = PackedGateWeights(in_dim);
-  // Gather the quantized rows contiguously (int8: a quarter of the fp32
-  // gather traffic) with their per-row scales, then one int8 gemm.
-  std::vector<int8_t> rows(n * in_dim);
-  std::vector<float> row_scales(n);
-  for (int64_t i = 0; i < n; ++i) {
-    const int8_t* src = q + static_cast<int64_t>(ids[i]) * in_dim;
-    std::copy(src, src + in_dim, rows.data() + i * in_dim);
-    row_scales[i] = scales[ids[i]];
-  }
-  Tensor out({n, 3 * hd});
-  kern.matmul_i8(rows.data(), row_scales.data(), fused, out.data(), n, in_dim,
-                 3 * hd);
+  Tensor out({rows, 3 * hidden_dim_});
+  kernels::Active().matmul_i8(q, scales, fused, out.data(), rows, in_dim,
+                              3 * hidden_dim_);
   return out;
 }
 

@@ -167,15 +167,13 @@ class GruCell : public Module {
   /// only — requires an active InferenceGuard.
   Var StepFusedProjected(const float* xw, int64_t batch, const Var& h) const;
 
-  /// ProjectInputs over int8-quantized embedding rows: gathers rows `ids`
-  /// of the quantized table `q` ([vocab, in] int8, per-row `scales`) and
-  /// multiplies them against the packed [Wz | Wr | Wh] gate weights through
-  /// the registry's int8 matmul, so the input half of the gate projections
-  /// reads a quarter of the fp32 bandwidth. Row i of the result is
-  /// scales[ids[i]] * (q[ids[i],:] · [Wz|Wr|Wh]) ([ids.size(), 3*hidden]).
+  /// ProjectInputs over an int8-quantized embedding table: multiplies
+  /// every row of `q` ([rows, in] int8, per-row `scales`) against the
+  /// packed [Wz | Wr | Wh] gate weights through the registry's int8
+  /// matmul, reading a quarter of the fp32 bandwidth. Row i of the result
+  /// is scales[i] * (q[i,:] · [Wz|Wr|Wh]) ([rows, 3*hidden]).
   Tensor ProjectInputsQuantized(const int8_t* q, const float* scales,
-                                std::span<const int32_t> ids,
-                                int64_t in_dim) const;
+                                int64_t rows, int64_t in_dim) const;
 
   /// Batched *training* step: x [B,in], h [B,hidden] -> h' [B,hidden] as a
   /// single tape node whose hand-written backward reuses the packed MatMul

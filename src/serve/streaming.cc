@@ -45,7 +45,7 @@ StreamingBatcher::StreamingBatcher(const core::CausalTad* model,
         << "call Fit() or Load() before serving the full score";
   }
   if (variant_ != core::ScoreVariant::kScalingOnly) {
-    wt_ = model_->packed_out_weights();
+    tables_ = model_->serving_tables();
   }
 }
 
@@ -99,13 +99,13 @@ void StreamingBatcher::ReleaseRowLocked(Session* session) {
 
 void StreamingBatcher::RefreshWeightsLocked() {
   if (variant_ == core::ScoreVariant::kScalingOnly) return;
-  std::shared_ptr<const std::vector<float>> current =
-      model_->packed_out_weights();
-  if (current.get() == wt_.get()) return;
-  // A re-Fit()/Load() rebuilt the packed weights: the cached h0/base pairs
-  // were encoded under the old ones, so they would silently mix weight
+  std::shared_ptr<const core::TgVae::ServingTables> current =
+      model_->serving_tables();
+  if (current.get() == tables_.get()) return;
+  // A re-Fit()/Load() rebuilt the serving tables: the cached h0/base pairs
+  // were encoded under the old weights, so they would silently mix weight
   // generations into new sessions' scores.
-  wt_ = std::move(current);
+  tables_ = std::move(current);
   sd_cache_.clear();
 }
 
@@ -138,14 +138,15 @@ SessionId StreamingBatcher::BeginSessionAt(roadnet::SegmentId source,
         options_.sd_cache_capacity) {
       sd_cache_.clear();
     }
-    const core::TgVae::TripContext ctx = tg_->BeginTrip(source, destination);
+    const core::TgVae::SdContext ctx = tg_->EncodeSdBatch(
+        std::span<const roadnet::SegmentId>(&source, 1),
+        std::span<const roadnet::SegmentId>(&destination, 1));
     SdContext cached;
-    cached.base = ctx.sd_nll + ctx.kl;
-    const float* h0 = ctx.h0.value().data();
-    cached.h0.assign(h0, h0 + tg_->config().hidden_dim);
+    cached.base = ctx.sd_nll[0] + ctx.kl[0];
+    cached.h0.assign(ctx.h0.data(), ctx.h0.data() + ctx.h0.numel());
     it = sd_cache_.emplace(key, std::move(cached)).first;
   }
-  s.base = it->second.base;
+  s.nll = it->second.base;
   s.row = AllocRowLocked();
   std::copy(it->second.h0.begin(), it->second.h0.end(),
             states_.begin() + s.row * tg_->config().hidden_dim);
@@ -377,8 +378,8 @@ void StreamingBatcher::AdmitLocked(BatchPlan* plan) {
   }
   if (plan->admitted.empty()) return;
 
-  // Partition: GRU transitions advance together through one fused batched
-  // step; first points have no transition yet; kScalingOnly points batch
+  // Partition: GRU transitions advance together through one StepNllRows
+  // call; first points have no transition yet; kScalingOnly points batch
   // through the RP-VAE by slot. Transition state rows are copied out of the
   // shared matrix — it may be reallocated or compacted while we compute.
   for (size_t a = 0; a < plan->admitted.size(); ++a) {
@@ -405,7 +406,7 @@ void StreamingBatcher::AdmitLocked(BatchPlan* plan) {
                              states_.begin() + (s.row + 1) * hd);
     }
   }
-  plan->wt = wt_;
+  plan->tables = tables_;
 }
 
 void StreamingBatcher::ComputeUnlocked(BatchPlan* plan) const {
@@ -416,9 +417,8 @@ void StreamingBatcher::ComputeUnlocked(BatchPlan* plan) const {
     for (size_t k = 0; k < rows.size(); ++k) {
       rows[k] = static_cast<int64_t>(k);
     }
-    tg_->StepNllRows(plan->tr_current, plan->tr_next, rows,
-                     plan->tr_states.data(), plan->wt->data(),
-                     plan->tr_nll.data());
+    tg_->StepNllRows(*plan->tables, plan->tr_current, plan->tr_next, rows,
+                     plan->tr_states.data(), plan->tr_nll.data());
   }
   plan->slot_nll.resize(plan->slot_of.size());
   for (size_t dense = 0; dense < plan->slot_of.size(); ++dense) {
@@ -469,7 +469,7 @@ int64_t StreamingBatcher::CommitLocked(const BatchPlan& plan) {
       // advance above is the whole point; queueing it would duplicate.
       --s.emit_skip;
     } else {
-      s.scores.push_back(s.base + s.nll - lambda_ * s.scaling);
+      s.scores.push_back(s.nll - lambda_ * s.scaling);
       if (options_.tracer != nullptr && plan.trace_ids[a] != 0) {
         options_.tracer->Record(plan.trace_ids[a], "emit",
                                 options_.trace_where, Now(), 0.0);

@@ -87,14 +87,18 @@ class StreamingSession {
 
 /// Multi-trip streaming engine: every concurrently-active trip owns one row
 /// of a shared [capacity, hidden] state matrix, and one Step() advances all
-/// sessions with a queued point by a single fused batched GRU step
-/// (TgVae::StepNllRows, sharded across the worker pool) plus per-row
-/// successor-masked softmaxes and scaling-table lookups. Per-point cost is
-/// O(1) in trip length — this is the paper's online protocol (§V-D) served
-/// batched, against CausalTad::BeginTrip's one-session-per-trip sessions.
+/// sessions with a queued point by one TgVae::StepNllRows call (a fused
+/// batched GRU step plus per-row successor-masked softmaxes, sharded across
+/// the worker pool) and scaling-table lookups. New SD pairs go through
+/// TgVae::EncodeSdBatch (cached per pair). Per-point cost is O(1) in trip
+/// length — this is the paper's online protocol (§V-D) served batched,
+/// against CausalTad::BeginTrip's one-session-per-trip sessions.
 ///
-/// Scores match Score(trip, k) / the per-trip online sessions exactly (the
-/// same fused kernels run in both; the streaming tests assert parity).
+/// These are the same two functions CausalTad's sessions and
+/// ScoreBatch/ScoreCheckpoints run, over the same serving tables, so a trip
+/// advanced alone reads bit-identical scores on all three paths; within a
+/// batch the scores match Score(trip, k) to the streaming tests' parity
+/// bound.
 /// kScalingOnly sessions hold no state row — their per-point ELBOs batch
 /// through RpVae::SegmentNllBatch per step instead.
 class StreamingBatcher {
@@ -210,7 +214,8 @@ class StreamingBatcher {
     bool ended = false;
     int table_slot = 0;  // scaling-table slot (kFull)
     int rp_slot = 0;     // RP-VAE slot (kScalingOnly)
-    double base = 0.0;   // sd_nll + kl
+    // sd_nll + kl + Σ step NLLs, summed in ScoreCheckpoints' order
+    // (kScalingOnly: Σ RP-VAE ELBOs).
     double nll = 0.0;
     double scaling = 0.0;
     int64_t emit_skip = 0;  // scores still to compute-but-not-queue (replay)
@@ -229,8 +234,8 @@ class StreamingBatcher {
   /// runs with the batcher mutex RELEASED: admitted ids and points, the
   /// transition partition with a local copy of the involved state rows
   /// (the shared matrix may be reallocated or compacted by concurrent
-  /// Begin/End while we compute), and a shared_ptr pin on the packed
-  /// output weights (a concurrent re-Fit may swap them).
+  /// Begin/End while we compute), and a shared_ptr pin on the TG-VAE
+  /// serving tables (a concurrent re-Fit may swap them).
   struct BatchPlan {
     std::vector<SessionId> admitted;
     std::vector<roadnet::SegmentId> points;
@@ -242,7 +247,7 @@ class StreamingBatcher {
     std::vector<size_t> tr_admitted;
     std::vector<float> tr_states;
     std::vector<double> tr_nll;
-    std::shared_ptr<const std::vector<float>> wt;
+    std::shared_ptr<const core::TgVae::ServingTables> tables;
     // kScalingOnly partition, batched per departure slot.
     std::vector<std::vector<roadnet::SegmentId>> slot_segments;
     std::vector<std::vector<size_t>> slot_owners;
@@ -280,12 +285,12 @@ class StreamingBatcher {
   core::ScoreVariant variant_;
   double lambda_;
   StreamingOptions options_;
-  // TG-VAE output weights transposed ([vocab, hidden]); shared with the
-  // model's serving cache so a re-Fit under a live batcher cannot dangle.
-  // Re-checked against the model on every BeginSession: when a re-Fit() /
-  // Load() has swapped in fresh packed weights, the batcher adopts them
-  // and drops the sd_cache_ entries derived from the old ones.
-  std::shared_ptr<const std::vector<float>> wt_;
+  // TG-VAE serving tables, shared with the model's serving cache so a
+  // re-Fit under a live batcher cannot dangle. Re-checked against the model
+  // on every BeginSession: when a re-Fit() / Load() has swapped in fresh
+  // tables, the batcher adopts them and drops the sd_cache_ entries derived
+  // from the old weights.
+  std::shared_ptr<const core::TgVae::ServingTables> tables_;
 
   mutable std::mutex mu_;
   SessionId next_id_ = 0;

@@ -221,7 +221,12 @@ void ParallelFor(int64_t n, int threads,
       join.cv.notify_one();
     });
   }
+  // The calling thread is a worker for the length of its shard: a nested
+  // ParallelFor from it must run inline, not queue behind the pool it just
+  // filled with this call's other shards.
+  in_parallel_worker = true;
   fn(0, first_end);
+  in_parallel_worker = false;
   std::unique_lock<std::mutex> lock(join.mu);
   join.cv.wait(lock, [&join] { return join.remaining == 0; });
 }

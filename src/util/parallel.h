@@ -22,8 +22,9 @@ void SetParallelThreads(int threads);
 /// Splits [0, n) into up to `threads` contiguous ranges and runs
 /// fn(begin, end) for each, one range inline and the rest on a persistent
 /// worker pool; blocks until every range completes. threads <= 0 means
-/// ParallelThreads(). Calls from inside a worker (nested parallelism) run
-/// inline, so callers never deadlock the pool. fn must be thread-safe.
+/// ParallelThreads(). Calls from inside a shard (nested parallelism), the
+/// calling thread's own shard included, run inline, so callers never
+/// deadlock or oversubscribe the pool. fn must be thread-safe.
 void ParallelFor(int64_t n, int threads,
                  const std::function<void(int64_t, int64_t)>& fn);
 

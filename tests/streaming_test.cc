@@ -12,6 +12,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +33,6 @@ using eval::BuildExperiment;
 using eval::ExperimentData;
 using eval::Scale;
 using eval::XianConfig;
-using models::SetOnlineRescoringForced;
 using models::TrajectoryScorer;
 using serve::StreamingBatcher;
 using serve::StreamingOptions;
@@ -80,9 +80,13 @@ std::vector<traj::Trip> ParityTrips() {
   return trips;
 }
 
-void ExpectOnlineParity(const TrajectoryScorer& scorer, double rel_tol) {
+/// `rescoring` drives the base class's rescoring reference session instead
+/// of the scorer's own incremental one.
+void ExpectOnlineParity(const TrajectoryScorer& scorer, double rel_tol,
+                        bool rescoring = false) {
   for (const traj::Trip& trip : ParityTrips()) {
-    auto session = scorer.BeginTrip(trip);
+    auto session = rescoring ? scorer.models::TrajectoryScorer::BeginTrip(trip)
+                             : scorer.BeginTrip(trip);
     for (int64_t k = 1; k <= trip.route.size(); ++k) {
       const double incremental =
           session->Update(trip.route.segments[k - 1]);
@@ -104,9 +108,7 @@ TEST_P(StreamingParityTest, UpdateMatchesScoreAtEveryPrefix) {
 }
 
 TEST_P(StreamingParityTest, RescoringReferencePathMatchesToo) {
-  SetOnlineRescoringForced(true);
-  ExpectOnlineParity(*Fitted(GetParam()), 1e-9);
-  SetOnlineRescoringForced(false);
+  ExpectOnlineParity(*Fitted(GetParam()), 1e-9, /*rescoring=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, StreamingParityTest,
@@ -148,6 +150,69 @@ TEST(StreamingCheckpointTest, ScoreCheckpointsMatchesScore) {
         EXPECT_NEAR(scores[i][j], reference, Tol(reference))
             << name << " trip=" << i << " k=" << checkpoints[i][j];
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One no-grad scorer: the batcher, the BeginTrip sessions and
+// ScoreCheckpoints all run TgVae::EncodeSdBatch + TgVae::StepNllRows.
+// ---------------------------------------------------------------------------
+
+/// Each trip is scored alone on all three paths: the batched kernels' row
+/// blocking makes a row's bits depend on which rows advance with it, so
+/// single-trip batches are where one code path must show as equal bits.
+void ExpectSameBits(const CausalTad& model, ScoreVariant variant) {
+  const double lambda = model.lambda();
+  for (const traj::Trip& trip : ParityTrips()) {
+    const int64_t n = trip.route.size();
+    std::vector<int64_t> prefixes(n);
+    for (int64_t k = 0; k < n; ++k) prefixes[k] = k + 1;
+    const std::vector<double> swept =
+        model.ScoreCheckpointsVariantLambda(
+            std::span<const traj::Trip>(&trip, 1),
+            std::span<const std::vector<int64_t>>(&prefixes, 1), variant,
+            lambda)[0];
+    StreamingBatcher batcher(&model, variant, lambda);
+    StreamingSession streamed = batcher.Begin(trip);
+    auto session = model.BeginTripVariant(trip, variant, lambda);
+    for (int64_t k = 1; k <= n; ++k) {
+      const double online = session->Update(trip.route.segments[k - 1]);
+      streamed.Push(trip.route.segments[k - 1]);
+      batcher.Flush();
+      const std::vector<double> emitted = streamed.Poll();
+      ASSERT_EQ(emitted.size(), 1u);
+      EXPECT_EQ(emitted[0], swept[k - 1])
+          << ScoreVariantName(variant) << " batcher k=" << k;
+      EXPECT_EQ(online, swept[k - 1])
+          << ScoreVariantName(variant) << " session k=" << k;
+    }
+    streamed.End();
+  }
+}
+
+TEST(OneScorerTest, BatcherSessionsAndCheckpointsAgreeBitForBit) {
+  const CausalTad* causal = FittedCausal();
+  ASSERT_NE(causal, nullptr);
+  core::CausalTadConfig config;
+  config.tg.emb_dim = 12;
+  config.tg.hidden_dim = 16;
+  config.tg.latent_dim = 8;
+  config.tg.road_constrained = false;
+  config.rp.emb_dim = 8;
+  config.rp.hidden_dim = 16;
+  config.rp.latent_dim = 4;
+  CausalTad unconstrained(&Data().city.network, config);
+  models::FitOptions options;
+  options.epochs = 1;
+  options.lr = 3e-3f;
+  options.seed = 13;
+  unconstrained.Fit(eval::Subsample(Data().train, 48, 6), options);
+  const CausalTad* models[] = {causal, &unconstrained};
+  for (const CausalTad* model : models) {
+    for (const ScoreVariant variant :
+         {ScoreVariant::kFull, ScoreVariant::kLikelihoodOnly}) {
+      ExpectSameBits(*model, variant);
     }
   }
 }
@@ -409,7 +474,7 @@ TEST(StreamingBatcherTest, EndedDrainedSessionsAreForgotten) {
 TEST(StreamingBatcherTest, SdCacheInvalidatesOnRefitUnderLiveBatcher) {
   // Regression: after a re-Fit()/Load() the batcher kept serving cached
   // h0/base pairs encoded under the old weights. New sessions must adopt
-  // the refreshed packed weights and match the refitted model's scores.
+  // the refreshed serving tables and match the refitted model's scores.
   const ExperimentData& data = Data();
   core::CausalTadConfig config;
   config.tg.emb_dim = 12;

@@ -274,6 +274,26 @@ TEST(ParallelPoolTest, GrowsAfterSetParallelThreads) {
   SetParallelThreads(0);
 }
 
+TEST(ParallelPoolTest, NestedCallFromCallerShardRunsInline) {
+  // Regression: the shard holding index 0 runs on the calling thread, which
+  // was not marked as a worker, so a nested ParallelFor from it fanned out
+  // to the pool that was busy with the outer call's other shards.
+  SetParallelThreads(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> nested_calls{0};
+  std::atomic<int> off_caller{0};
+  ParallelFor(4, 4, [&](int64_t begin, int64_t) {
+    if (begin != 0) return;
+    ParallelFor(64, 4, [&](int64_t, int64_t) {
+      ++nested_calls;
+      if (std::this_thread::get_id() != caller) ++off_caller;
+    });
+  });
+  SetParallelThreads(0);
+  EXPECT_EQ(nested_calls.load(), 1);
+  EXPECT_EQ(off_caller.load(), 0);
+}
+
 TEST(LatencyHistogramTest, PercentilesWithinBucketResolution) {
   LatencyHistogram hist;
   EXPECT_EQ(hist.TotalCount(), 0);
