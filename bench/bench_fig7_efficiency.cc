@@ -1,8 +1,7 @@
 // Reproduces Fig. 7: (a) training scalability — wall-clock time of one
 // training epoch as the training-set fraction grows from 20% to 100%
-// (linear in the paper), plus a per-epoch throughput comparison of the
-// legacy per-trip-tape trainer against the batched [B, hidden] minibatch
-// trainer; (b) average inference runtime per trajectory at different
+// (linear in the paper), plus the per-epoch throughput of the batched
+// [B, hidden] minibatch trainer; (b) average inference runtime per trajectory at different
 // observed ratios (iBOAT is far slower than the learned methods;
 // CausalTAD ≈ TG-VAE thanks to the O(1) debiased updates and the
 // successor-masked softmax).
@@ -13,8 +12,8 @@
 //
 // Part (a) is measured two ways:
 //   * a per-fraction one-epoch wall-clock table (stdout), and
-//   * a per-trip-tape vs batched-minibatch training comparison — one epoch
-//     at 100% of the training set, reported as trips/sec — written to the
+//   * one batched-minibatch training epoch per method at 100% of the
+//     training set, reported as trips/sec — written to the
 //     "fig7a_training" section of BENCH_fig7.json. Per-epoch time is net
 //     of the path-independent setup (e.g. CausalTAD's scaling-table
 //     rebuild), which is a fixed post-training cost, not a per-epoch one.
@@ -48,7 +47,6 @@
 #include "eval/datasets.h"
 #include "eval/harness.h"
 #include "nn/kernels/kernels.h"
-#include "nn/modules.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
@@ -106,20 +104,15 @@ void TrainingScalabilityTable(const CityExperimentConfig& config,
 }
 
 // ---------------------------------------------------------------------------
-// Part (a), comparison 2: per-trip tape vs batched minibatch training.
+// Part (a), comparison 2: batched minibatch training throughput.
 // ---------------------------------------------------------------------------
 
 struct TrainRow {
   std::string city;
   std::string method;
   int64_t trips = 0;
-  double per_trip_epoch_s = 0.0;
-  double batched_epoch_s = 0.0;
-  double data_parallel_epoch_s = 0.0;  // batched + FitOptions::data_parallel
-  double per_trip_tps = 0.0;  // trips per second
-  double batched_tps = 0.0;
-  double data_parallel_tps = 0.0;
-  double speedup = 0.0;  // per-trip tape -> batched
+  double epoch_s = 0.0;
+  double trips_per_s = 0.0;
 };
 
 TrainRow MeasureTraining(const CityExperimentConfig& config,
@@ -128,7 +121,7 @@ TrainRow MeasureTraining(const CityExperimentConfig& config,
   causaltad::models::FitOptions options =
       causaltad::eval::FitOptionsFor(scale);
 
-  // Path-independent setup cost (scorer bookkeeping, CausalTAD's
+  // Epoch-independent setup cost (scorer bookkeeping, CausalTAD's
   // scaling-table rebuild): one Fit with zero epochs.
   options.epochs = 0;
   double setup_s;
@@ -140,31 +133,16 @@ TrainRow MeasureTraining(const CityExperimentConfig& config,
   }
 
   options.epochs = 1;
-  // Index 0: per-trip tape, 1: batched minibatch, 2: batched data-parallel
-  // (FitOptions::data_parallel — a no-op for the trainers that do not honor
-  // it, which then just repeat the batched timing).
-  double epoch_s[3];
-  for (const int mode : {0, 1, 2}) {
-    auto scorer = causaltad::eval::MakeScorer(method, data, scale);
-    options.per_trip_tape = mode == 0;
-    options.data_parallel = mode == 2;
-    causaltad::util::Stopwatch watch;
-    scorer->Fit(data.train, options);
-    epoch_s[mode] = std::max(watch.ElapsedSeconds() - setup_s, 1e-9);
-  }
-  options.data_parallel = false;
+  auto scorer = causaltad::eval::MakeScorer(method, data, scale);
+  causaltad::util::Stopwatch watch;
+  scorer->Fit(data.train, options);
 
   TrainRow row;
   row.city = config.name;
   row.method = method;
   row.trips = static_cast<int64_t>(data.train.size());
-  row.per_trip_epoch_s = epoch_s[0];
-  row.batched_epoch_s = epoch_s[1];
-  row.data_parallel_epoch_s = epoch_s[2];
-  row.per_trip_tps = row.trips / row.per_trip_epoch_s;
-  row.batched_tps = row.trips / row.batched_epoch_s;
-  row.data_parallel_tps = row.trips / row.data_parallel_epoch_s;
-  row.speedup = row.per_trip_epoch_s / row.batched_epoch_s;
+  row.epoch_s = std::max(watch.ElapsedSeconds() - setup_s, 1e-9);
+  row.trips_per_s = row.trips / row.epoch_s;
   return row;
 }
 
@@ -300,13 +278,12 @@ BucketRow MeasureBucketing(const std::string& city, const std::string& method,
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-substrate A/B: ISA dispatch + int8 embeddings (emitted as JSON).
+// Kernel-substrate A/B: ISA dispatch (emitted as JSON).
 // ---------------------------------------------------------------------------
 
 struct IsaRow {
   std::string city;
-  std::string isa;    // kernel table pinned for this row
-  bool int8 = false;  // int8 embedding tables served
+  std::string isa;  // kernel table pinned for this row
   double batched_us = 0.0;
   double max_rel_diff = 0.0;  // scores vs the native fp32 reference row
 };
@@ -318,15 +295,13 @@ std::vector<IsaRow> MeasureIsaRows(
   const kernels::Isa native = kernels::ActiveIsa();
   std::vector<double> reference;
   std::vector<IsaRow> rows;
-  const auto emit = [&](kernels::Isa isa, bool int8) {
+  const auto emit = [&](kernels::Isa isa) {
     kernels::SetIsa(isa);
-    causaltad::nn::SetInt8Embeddings(int8);
     causal->RebuildServingCache();
     std::vector<double> scores;
     IsaRow row;
     row.city = city;
     row.isa = kernels::IsaName(isa);
-    row.int8 = int8;
     row.batched_us =
         BestOf(5, [&] { scores = causal->ScoreBatch(trips, {}); }) * 1e6 /
         trips.size();
@@ -341,14 +316,10 @@ std::vector<IsaRow> MeasureIsaRows(
     }
     rows.push_back(row);
   };
-  emit(native, false);  // reference: best ISA, fp32
-  if (native != kernels::Isa::kBaseline) {
-    emit(kernels::Isa::kBaseline, false);
-  }
-  emit(native, true);  // best ISA, int8 embeddings
-  // Restore the native fp32 serving configuration.
+  emit(native);  // reference: best ISA
+  if (native != kernels::Isa::kBaseline) emit(kernels::Isa::kBaseline);
+  // Restore the native serving configuration.
   kernels::SetIsa(native);
-  causaltad::nn::SetInt8Embeddings(false);
   causal->RebuildServingCache();
   return rows;
 }
@@ -371,17 +342,10 @@ void WriteJson(const std::string& path, Scale scale,
     const TrainRow& r = train_rows[i];
     std::fprintf(f,
                  "    {\"city\": \"%s\", \"method\": \"%s\", "
-                 "\"trips\": %lld, \"per_trip_epoch_s\": %.3f, "
-                 "\"batched_epoch_s\": %.3f, "
-                 "\"data_parallel_epoch_s\": %.3f, "
-                 "\"per_trip_trips_per_s\": %.0f, "
-                 "\"batched_trips_per_s\": %.0f, "
-                 "\"data_parallel_trips_per_s\": %.0f, "
-                 "\"speedup\": %.2f}%s\n",
+                 "\"trips\": %lld, \"batched_epoch_s\": %.3f, "
+                 "\"batched_trips_per_s\": %.0f}%s\n",
                  r.city.c_str(), r.method.c_str(),
-                 static_cast<long long>(r.trips), r.per_trip_epoch_s,
-                 r.batched_epoch_s, r.data_parallel_epoch_s, r.per_trip_tps,
-                 r.batched_tps, r.data_parallel_tps, r.speedup,
+                 static_cast<long long>(r.trips), r.epoch_s, r.trips_per_s,
                  i + 1 < train_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -418,10 +382,9 @@ void WriteJson(const std::string& path, Scale scale,
     const IsaRow& r = isa_rows[i];
     std::fprintf(f,
                  "    {\"city\": \"%s\", \"method\": \"CausalTAD\", "
-                 "\"isa\": \"%s\", \"int8\": %s, \"batched_us\": %.2f, "
+                 "\"isa\": \"%s\", \"batched_us\": %.2f, "
                  "\"max_rel_diff\": %.3g}%s\n",
-                 r.city.c_str(), r.isa.c_str(), r.int8 ? "true" : "false",
-                 r.batched_us, r.max_rel_diff,
+                 r.city.c_str(), r.isa.c_str(), r.batched_us, r.max_rel_diff,
                  i + 1 < isa_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -442,17 +405,16 @@ int main(int argc, char** argv) {
       causaltad::eval::XianConfig(scale),
       causaltad::eval::ChengduConfig(scale)};
 
-  // Part (a): the per-fraction table plus the per-trip-tape vs batched
-  // minibatch training comparison, both cities.
+  // Part (a): the per-fraction table plus the batched minibatch training
+  // throughput, both cities.
   std::vector<TrainRow> train_rows;
   if (!EnvFlag("CAUSALTAD_FIG7_SKIP_TRAIN_TABLE")) {
     for (const CityExperimentConfig& city : cities) {
       TrainingScalabilityTable(city, scale);
     }
-    std::printf("== Fig. 7(a) — per-trip tape vs batched minibatch "
-                "training, one epoch at 100%% ==\n\n");
-    TablePrinter train_table({"City", "Method", "tape t/s", "batch t/s",
-                              "dp t/s", "speedup"});
+    std::printf("== Fig. 7(a) — batched minibatch training, one epoch at "
+                "100%% ==\n\n");
+    TablePrinter train_table({"City", "Method", "epoch s", "trips/s"});
     train_table.PrintHeader();
     for (const CityExperimentConfig& city : cities) {
       for (const std::string& method :
@@ -461,10 +423,8 @@ int main(int argc, char** argv) {
         train_rows.push_back(MeasureTraining(city, method, scale));
         const TrainRow& r = train_rows.back();
         train_table.PrintRow({r.city, r.method,
-                              TablePrinter::Fmt(r.per_trip_tps, 0),
-                              TablePrinter::Fmt(r.batched_tps, 0),
-                              TablePrinter::Fmt(r.data_parallel_tps, 0),
-                              TablePrinter::Fmt(r.speedup, 1) + "x"});
+                              TablePrinter::Fmt(r.epoch_s, 3),
+                              TablePrinter::Fmt(r.trips_per_s, 0)});
       }
     }
     std::printf("\n");
@@ -509,22 +469,6 @@ int main(int argc, char** argv) {
                                 TablePrinter::Fmt(r.speedup, 1) + "x"});
       }
     }
-    // Quantized serving row: int8 embedding tables behind the same batched
-    // fast path (dequantizing gather + int8 gate-projection matmul).
-    {
-      auto* causal_tad = dynamic_cast<CausalTad*>(causal.get());
-      causaltad::nn::SetInt8Embeddings(true);
-      causal_tad->RebuildServingCache();
-      rows.push_back(MeasureBatched(city.name, "CausalTAD-int8", causal.get(),
-                                    batch_trips, 1.0));
-      causaltad::nn::SetInt8Embeddings(false);
-      causal_tad->RebuildServingCache();
-      const BatchedRow& r = rows.back();
-      batched_table.PrintRow({r.city, r.method, TablePrinter::Fmt(r.ratio, 1),
-                              TablePrinter::Fmt(r.per_trip_us, 1),
-                              TablePrinter::Fmt(r.batched_us, 1),
-                              TablePrinter::Fmt(r.speedup, 1) + "x"});
-    }
     // Length-bucketed ScoreBatch sharding A/B on a mixed-length batch.
     const auto bucket_trips = Subsample(data.id_test, 200, 43);
     for (const auto& [name, scorer] :
@@ -534,8 +478,8 @@ int main(int argc, char** argv) {
       bucket_rows.push_back(
           MeasureBucketing(city.name, name, scorer, bucket_trips));
     }
-    // Kernel-substrate A/B: baseline vs best-ISA dispatch and int8
-    // embeddings, on the same mixed-length batch.
+    // Kernel-substrate A/B: baseline vs best-ISA dispatch, on the same
+    // mixed-length batch.
     for (IsaRow& row : MeasureIsaRows(
              city.name, dynamic_cast<CausalTad*>(causal.get()),
              bucket_trips)) {
@@ -556,13 +500,11 @@ int main(int argc, char** argv) {
                            TablePrinter::Fmt(r.bucketed_us, 1),
                            TablePrinter::Fmt(r.speedup, 2) + "x"});
   }
-  std::printf("\n== Kernel substrate: ISA dispatch + int8 embeddings "
-              "(full routes) ==\n\n");
-  TablePrinter isa_table({"City", "ISA", "int8", "batched us", "max rel diff"});
+  std::printf("\n== Kernel substrate: ISA dispatch (full routes) ==\n\n");
+  TablePrinter isa_table({"City", "ISA", "batched us", "max rel diff"});
   isa_table.PrintHeader();
   for (const IsaRow& r : isa_rows) {
-    isa_table.PrintRow({r.city, r.isa, r.int8 ? "yes" : "no",
-                        TablePrinter::Fmt(r.batched_us, 1),
+    isa_table.PrintRow({r.city, r.isa, TablePrinter::Fmt(r.batched_us, 1),
                         TablePrinter::Fmt(r.max_rel_diff, 6)});
   }
   std::printf("\n");

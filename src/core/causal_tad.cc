@@ -9,7 +9,6 @@
 #include "nn/ops.h"
 #include "nn/optim.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace causaltad {
@@ -63,128 +62,45 @@ void CausalTad::Fit(const std::vector<traj::Trip>& trips,
   std::vector<nn::Var> params = net_->Parameters();
   nn::Adam opt(params, {.lr = options.lr});
 
-  const int64_t n = static_cast<int64_t>(trips.size());
+  // Length-sorted [B, hidden] minibatches through one tape per optimizer
+  // step.
+  std::vector<const traj::Trip*> batch;
+  std::vector<roadnet::SegmentId> rp_segments;
+  std::vector<int32_t> rp_slots;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     util::Stopwatch watch;
     double epoch_loss = 0.0;
-    if (options.per_trip_tape) {
-      // Legacy path: one tape per trip, gradients accumulated.
-      const std::vector<int64_t> order = rng.Permutation(n);
-      int in_batch = 0;
+    for (const std::vector<int64_t>& indices :
+         models::LengthSortedBatches(trips, options.batch_size, &rng)) {
+      batch.clear();
+      rp_segments.clear();
+      rp_slots.clear();
+      for (const int64_t i : indices) {
+        const traj::Trip& trip = trips[i];
+        batch.push_back(&trip);
+        rp_segments.insert(rp_segments.end(), trip.route.segments.begin(),
+                           trip.route.segments.end());
+        if (rp_->time_conditioned()) {
+          rp_slots.insert(rp_slots.end(), trip.route.size(),
+                          static_cast<int32_t>(trip.time_slot));
+        }
+      }
       opt.ZeroGrad();
-      for (const int64_t idx : order) {
-        const traj::Trip& trip = trips[idx];
-        // Joint objective of Eq. (9): L1(c,t) + L2(t).
-        const nn::Var loss =
-            nn::Add(tg_->Loss(trip, &rng),
-                    rp_->Loss(trip.route.segments, &rng, trip.time_slot));
-        epoch_loss += loss.value().Item();
-        nn::Backward(loss);
-        if (++in_batch == options.batch_size) {
-          nn::ClipGradNorm(params, options.grad_clip);
-          opt.Step();
-          opt.ZeroGrad();
-          in_batch = 0;
-        }
-      }
-      if (in_batch > 0) {
-        nn::ClipGradNorm(params, options.grad_clip);
-        opt.Step();
-        opt.ZeroGrad();
-      }
-    } else {
-      // Batched path: length-sorted [B, hidden] minibatches through one
-      // tape per optimizer step.
-      struct BatchData {
-        std::vector<const traj::Trip*> batch;
-        std::vector<roadnet::SegmentId> rp_segments;
-        std::vector<int32_t> rp_slots;
-      };
-      const auto fill = [&](const std::vector<int64_t>& indices,
-                            BatchData* bd) {
-        bd->batch.clear();
-        bd->rp_segments.clear();
-        bd->rp_slots.clear();
-        for (const int64_t i : indices) {
-          const traj::Trip& trip = trips[i];
-          bd->batch.push_back(&trip);
-          bd->rp_segments.insert(bd->rp_segments.end(),
-                                 trip.route.segments.begin(),
-                                 trip.route.segments.end());
-          if (rp_->time_conditioned()) {
-            bd->rp_slots.insert(bd->rp_slots.end(), trip.route.size(),
-                                static_cast<int32_t>(trip.time_slot));
-          }
-        }
-      };
-      const std::vector<std::vector<int64_t>> batches =
-          models::LengthSortedBatches(trips, options.batch_size, &rng);
-      if (!options.data_parallel) {
-        BatchData bd;
-        for (const std::vector<int64_t>& indices : batches) {
-          fill(indices, &bd);
-          opt.ZeroGrad();
-          // Joint objective of Eq. (9) summed over the minibatch:
-          // Σ L1(c,t) + Σ L2(t), both sides on the same tape.
-          const nn::Var loss =
-              nn::Add(tg_->LossBatch(bd.batch, &rng),
-                      rp_->LossBatch(bd.rp_segments, bd.rp_slots, &rng));
-          epoch_loss += loss.value().Item();
-          nn::Backward(loss);
-          nn::ClipGradNorm(params, options.grad_clip);
-          opt.Step();
-        }
-      } else {
-        // Data-parallel: a group of W minibatches builds W independent
-        // forward tapes concurrently (parameters are only read during the
-        // forward pass), then the group's backward passes run serially in
-        // minibatch order — gradient accumulation into the shared
-        // parameters keeps one deterministic order no matter how many
-        // workers ran — and a single clipped step consumes the summed
-        // gradients. Each minibatch draws latent noise from its own Rng
-        // keyed by the global batch index, so the trained model is
-        // identical for any worker count at a fixed group width.
-        const size_t workers = static_cast<size_t>(
-            options.data_parallel_width > 0
-                ? options.data_parallel_width
-                : std::max(1, util::ParallelThreads()));
-        std::vector<BatchData> data(workers);
-        std::vector<nn::Var> losses(workers);
-        for (size_t g = 0; g < batches.size(); g += workers) {
-          const size_t gn = std::min(workers, batches.size() - g);
-          for (size_t b = 0; b < gn; ++b) fill(batches[g + b], &data[b]);
-          util::ParallelFor(
-              static_cast<int64_t>(gn), static_cast<int>(gn),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t b = begin; b < end; ++b) {
-                  const uint64_t global_batch =
-                      static_cast<uint64_t>(epoch) * batches.size() + g + b;
-                  util::Rng brng(options.seed ^
-                                 ((global_batch + 1) * 0x9E3779B97F4A7C15ULL));
-                  losses[b] = nn::Add(
-                      tg_->LossBatch(data[b].batch, &brng),
-                      rp_->LossBatch(data[b].rp_segments, data[b].rp_slots,
-                                     &brng));
-                }
-              });
-          opt.ZeroGrad();
-          for (size_t b = 0; b < gn; ++b) {
-            epoch_loss += losses[b].value().Item();
-            nn::Backward(losses[b]);
-            losses[b] = nn::Var();  // release this tape before stepping
-          }
-          nn::ClipGradNorm(params, options.grad_clip);
-          opt.Step();
-        }
-      }
+      // Joint objective of Eq. (9) summed over the minibatch:
+      // Σ L1(c,t) + Σ L2(t), both sides on the same tape.
+      const nn::Var loss = nn::Add(tg_->LossBatch(batch, &rng),
+                                   rp_->LossBatch(rp_segments, rp_slots, &rng));
+      epoch_loss += loss.value().Item();
+      nn::Backward(loss);
+      nn::ClipGradNorm(params, options.grad_clip);
+      opt.Step();
     }
     if (options.verbose) {
       const double secs = watch.ElapsedSeconds();
       std::fprintf(stderr,
-                   "[CausalTAD] epoch %d loss %.3f (%.2fs, %.0f trips/s%s)\n",
+                   "[CausalTAD] epoch %d loss %.3f (%.2fs, %.0f trips/s)\n",
                    epoch, epoch_loss / trips.size(), secs,
-                   trips.size() / std::max(secs, 1e-9),
-                   options.per_trip_tape ? ", per-trip tape" : "");
+                   trips.size() / std::max(secs, 1e-9));
     }
   }
   RebuildScalingTable();
@@ -200,14 +116,6 @@ void CausalTad::RebuildScalingTable() {
 }
 
 void CausalTad::RebuildServingCache() {
-  // Keep the int8 serving copies in sync with the fp32 weights. Only pay
-  // the quantization pass when the switch is on; with it off the fp32 path
-  // never consults the copies. The serving tables project the fresh rows,
-  // so they are built after.
-  if (nn::Int8EmbeddingsEnabled()) {
-    tg_->RefreshQuantizedEmbeddings();
-    rp_->RefreshQuantizedEmbeddings();
-  }
   tg_tables_ = std::make_shared<const TgVae::ServingTables>(
       tg_->BuildServingTables());
 }

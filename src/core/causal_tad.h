@@ -130,11 +130,10 @@ class CausalTad : public models::TrajectoryScorer {
   };
   SegmentDecomposition Decompose(const traj::Trip& trip) const;
 
-  /// Re-derives the no-grad serving caches (the quantized embedding rows
-  /// when the int8-embedding switch is on, then the TG-VAE serving tables)
-  /// from the current fp32 parameters. Fit/Load call it automatically; call
-  /// it after flipping nn::SetInt8Embeddings at runtime so serving reads
-  /// see fresh quantized rows.
+  /// Re-derives the TG-VAE serving tables from the current parameters.
+  /// Fit/Load call it automatically; call it after writing parameters
+  /// directly or after nn::kernels::SetIsa, so the tables match what the
+  /// active kernels would compute.
   void RebuildServingCache();
 
   void set_lambda(float lambda) { config_.lambda = lambda; }

@@ -117,11 +117,6 @@ nn::Var RpVae::Loss(std::span<const roadnet::SegmentId> segments,
   return LossBatch(segments, slots, rng);
 }
 
-void RpVae::RefreshQuantizedEmbeddings() {
-  emb_.RefreshQuantized();
-  if (slot_emb_ != nullptr) slot_emb_->RefreshQuantized();
-}
-
 double RpVae::SegmentNll(roadnet::SegmentId segment, int time_slot) const {
   const std::vector<roadnet::SegmentId> one = {segment};
   return Loss(one, /*rng=*/nullptr, time_slot).value().Item();

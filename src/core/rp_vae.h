@@ -66,10 +66,6 @@ class RpVae : public nn::Module {
   double LogScalingFactor(roadnet::SegmentId segment, int num_samples,
                           util::Rng* rng, int time_slot = 0) const;
 
-  /// Re-quantizes the int8 serving copies of the embedding tables from the
-  /// current fp32 weights (see TgVae::RefreshQuantizedEmbeddings).
-  void RefreshQuantizedEmbeddings();
-
   bool time_conditioned() const { return config_.num_time_slots > 0; }
   const RpVaeConfig& config() const { return config_; }
 

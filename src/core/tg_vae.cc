@@ -396,11 +396,6 @@ double TgVae::StepNll(roadnet::SegmentId current, roadnet::SegmentId next,
   return StepCe(*hidden, current, next).value().Item();
 }
 
-void TgVae::RefreshQuantizedEmbeddings() {
-  route_emb_.RefreshQuantized();
-  sd_emb_.RefreshQuantized();
-}
-
 TgVae::ServingTables TgVae::BuildServingTables() const {
   const nn::InferenceGuard no_grad;
   const int64_t vocab = config_.vocab;
@@ -410,21 +405,7 @@ TgVae::ServingTables TgVae::BuildServingTables() const {
                                        config_.hidden_dim, vocab,
                                        tables.out_wt.data());
   tables.gate_in = gru_.ProjectInputs(route_emb_.table().value());
-  if (route_emb_.has_quantized()) {
-    tables.gate_in_i8 = gru_.ProjectInputsQuantized(
-        route_emb_.quantized_rows(), route_emb_.row_scales(), vocab,
-        config_.emb_dim);
-  }
   return tables;
-}
-
-const float* TgVae::GateInputs(const ServingTables& tables) const {
-  if (route_emb_.Int8Active()) {
-    CAUSALTAD_CHECK(tables.gate_in_i8.defined())
-        << "int8 rows were quantized after the serving tables were built";
-    return tables.gate_in_i8.data();
-  }
-  return tables.gate_in.data();
 }
 
 void TgVae::StepNllRows(const ServingTables& tables,
@@ -436,7 +417,7 @@ void TgVae::StepNllRows(const ServingTables& tables,
   if (n == 0) return;
   const int64_t hd = config_.hidden_dim;
   const int64_t three_h = 3 * hd;
-  const float* gate_in = GateInputs(tables);
+  const float* gate_in = tables.gate_in.data();
   const float* wt = tables.out_wt.data();
   // Entries are independent (distinct state rows), so shard them across the
   // worker pool; each worker scopes its own no-grad guard and arena and

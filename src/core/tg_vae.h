@@ -69,19 +69,15 @@ class TgVae : public nn::Module {
 
   /// Derived no-grad tables the serving step reads, rebuilt whenever the
   /// weights change (CausalTad caches one set next to the scaling table).
-  /// Memory: vocab × 4·hidden floats, plus vocab × 3·hidden more when int8
-  /// rows exist — the projection alone is ~0.35 MB at 610 segments and
-  /// hidden 48, ~58 MB at a 10^5-segment vocab.
+  /// Memory: vocab × 4·hidden floats — the projection alone is ~0.35 MB at
+  /// 610 segments and hidden 48, ~58 MB at a 10^5-segment vocab.
   struct ServingTables {
     /// Output weights transposed to [vocab, hidden]: each successor-masked
     /// logit is one contiguous dot instead of a vocab-strided column walk.
     nn::Tensor out_wt;
     /// Every segment's gate-input projection [vocab, 3·hidden], row s =
-    /// [Er(s)·Wz | Er(s)·Wr | Er(s)·Wh], from the fp32 embedding rows.
+    /// [Er(s)·Wz | Er(s)·Wr | Er(s)·Wh].
     nn::Tensor gate_in;
-    /// The same projection from the int8 rows; empty unless quantized rows
-    /// existed when the tables were built.
-    nn::Tensor gate_in_i8;
   };
   ServingTables BuildServingTables() const;
 
@@ -129,12 +125,6 @@ class TgVae : public nn::Module {
                    std::span<const int64_t> rows, float* states,
                    double* nll) const;
 
-  /// Re-quantizes the int8 serving copies of the embedding tables from the
-  /// current fp32 weights (no-op cost-wise beyond the copy; tables stay
-  /// unused until nn::Int8EmbeddingsEnabled()). Serving caches call this
-  /// whenever the weights may have changed, before BuildServingTables.
-  void RefreshQuantizedEmbeddings();
-
   const TgVaeConfig& config() const { return config_; }
 
  private:
@@ -157,9 +147,6 @@ class TgVae : public nn::Module {
                        std::span<const traj::Trip> trips,
                        std::span<const int64_t> steps,
                        std::span<const int64_t> rows, ScoreParts* out) const;
-  /// The gate-input projection StepNllRows reads: the int8 one while the
-  /// int8 embedding path is active, the fp32 one otherwise.
-  const float* GateInputs(const ServingTables& tables) const;
 
   const roadnet::RoadNetwork* network_;
   TgVaeConfig config_;

@@ -365,31 +365,6 @@ nn::Var RnnVae::LossBatch(std::span<const traj::Trip* const> trips,
   return nn::Add(recon, nn::ScalarMul(kl, config_.beta));
 }
 
-void RnnVae::TrainDiscriminatorStep(const std::vector<float>& z_value,
-                                    nn::Adam* disc_opt, util::Rng* rng) {
-  if (z_buffer_.size() < 8) return;
-  // Permuted sample: each dimension drawn from an independent past latent.
-  std::vector<float> permuted(z_value.size());
-  for (size_t d = 0; d < permuted.size(); ++d) {
-    const auto& donor =
-        z_buffer_[rng->UniformInt(static_cast<int64_t>(z_buffer_.size()))];
-    permuted[d] = donor[d];
-  }
-  disc_opt->ZeroGrad();
-  const int64_t latent = static_cast<int64_t>(z_value.size());
-  const nn::Var real =
-      nn::Constant(nn::Tensor::FromVector({1, latent}, z_value));
-  const nn::Var fake =
-      nn::Constant(nn::Tensor::FromVector({1, latent}, std::move(permuted)));
-  const std::vector<int32_t> label_real = {0};
-  const std::vector<int32_t> label_fake = {1};
-  const nn::Var loss =
-      nn::Add(nn::SoftmaxCrossEntropy(net_->disc->Forward(real), label_real),
-              nn::SoftmaxCrossEntropy(net_->disc->Forward(fake), label_fake));
-  nn::Backward(loss);
-  disc_opt->Step();
-}
-
 void RnnVae::TrainDiscriminatorBatch(const nn::Tensor& mu,
                                      nn::Adam* disc_opt, util::Rng* rng) {
   const int64_t rows = mu.rows();
@@ -424,10 +399,6 @@ void RnnVae::TrainDiscriminatorBatch(const nn::Tensor& mu,
 void RnnVae::Fit(const std::vector<traj::Trip>& trips,
                  const FitOptions& options) {
   CAUSALTAD_CHECK(!trips.empty());
-  if (options.per_trip_tape) {
-    FitPerTrip(trips, options);
-    return;
-  }
   util::Rng rng(options.seed);
   std::vector<nn::Var> params = net_->GenerativeParameters();
   nn::Adam opt(params, {.lr = options.lr});
@@ -453,7 +424,7 @@ void RnnVae::Fit(const std::vector<traj::Trip>& trips,
       if (config_.factor_tc) {
         // TC estimate over the whole minibatch: Σ_rows logit(real) -
         // logit(permuted), encouraged downward. Reusing the in-loss mu is
-        // gradient-identical to the per-trip path's second encoder pass.
+        // gradient-identical to a second encoder pass.
         const nn::Var logits = net_->disc->Forward(mu);  // [B,2]
         std::vector<float> signs(logits.value().numel());
         for (size_t i = 0; i < signs.size(); ++i) {
@@ -476,69 +447,6 @@ void RnnVae::Fit(const std::vector<traj::Trip>& trips,
       const double secs = watch.ElapsedSeconds();
       std::fprintf(stderr,
                    "[%s] epoch %d loss %.3f (%.2fs, %.0f trips/s)\n",
-                   name_.c_str(), epoch, epoch_loss / trips.size(), secs,
-                   trips.size() / std::max(secs, 1e-9));
-    }
-  }
-}
-
-void RnnVae::FitPerTrip(const std::vector<traj::Trip>& trips,
-                        const FitOptions& options) {
-  util::Rng rng(options.seed);
-  std::vector<nn::Var> params = net_->GenerativeParameters();
-  nn::Adam opt(params, {.lr = options.lr});
-  std::unique_ptr<nn::Adam> disc_opt;
-  if (config_.factor_tc) {
-    disc_opt = std::make_unique<nn::Adam>(net_->disc->Parameters(),
-                                          nn::AdamConfig{.lr = options.lr});
-  }
-
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    util::Stopwatch watch;
-    const std::vector<int64_t> order =
-        rng.Permutation(static_cast<int64_t>(trips.size()));
-    double epoch_loss = 0.0;
-    int in_batch = 0;
-    opt.ZeroGrad();
-    for (const int64_t idx : order) {
-      const traj::Trip& trip = trips[idx];
-      nn::Var loss = Loss(trip, trip.route.size(), &rng);
-
-      if (config_.factor_tc) {
-        // Re-derive z deterministically for the TC term and buffer.
-        const nn::Var enc_h = EncodePrefix(trip, trip.route.size());
-        const nn::Var mu = net_->mu_head->Forward(enc_h);
-        const nn::Var logits = net_->disc->Forward(mu);  // [1,2]
-        // TC estimate: logit(real) - logit(permuted), encouraged downward.
-        const nn::Var tc = nn::Sum(nn::Mul(
-            logits,
-            nn::Constant(nn::Tensor::FromVector({1, 2}, {1.0f, -1.0f}))));
-        loss = nn::Add(loss, nn::ScalarMul(tc, config_.tc_gamma));
-        const auto& zv = mu.value().vec();
-        z_buffer_.push_back(zv);
-        if (z_buffer_.size() > 256) z_buffer_.pop_front();
-        TrainDiscriminatorStep(zv, disc_opt.get(), &rng);
-      }
-
-      epoch_loss += loss.value().Item();
-      nn::Backward(loss);
-      if (++in_batch == options.batch_size) {
-        nn::ClipGradNorm(params, options.grad_clip);
-        opt.Step();
-        opt.ZeroGrad();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) {
-      nn::ClipGradNorm(params, options.grad_clip);
-      opt.Step();
-      opt.ZeroGrad();
-    }
-    if (options.verbose) {
-      const double secs = watch.ElapsedSeconds();
-      std::fprintf(stderr,
-                   "[%s] epoch %d loss %.3f (%.2fs, %.0f trips/s, "
-                   "per-trip tape)\n",
                    name_.c_str(), epoch, epoch_loss / trips.size(), secs,
                    trips.size() / std::max(secs, 1e-9));
     }

@@ -113,16 +113,10 @@ class RnnVae : public TrajectoryScorer {
   nn::Var GaussianLogPdf(const nn::Var& z, const nn::Var& mu,
                          const nn::Var& logvar) const;
 
-  void TrainDiscriminatorStep(const std::vector<float>& z_value,
-                              nn::Adam* disc_opt, util::Rng* rng);
-  /// Batched twin: buffers every row of `mu` and runs one adversarial
-  /// real-vs-permuted step over the whole minibatch.
+  /// Buffers every row of `mu` and runs one adversarial real-vs-permuted
+  /// discriminator step over the whole minibatch.
   void TrainDiscriminatorBatch(const nn::Tensor& mu, nn::Adam* disc_opt,
                                util::Rng* rng);
-
-  /// Legacy per-trip-tape training loop (FitOptions::per_trip_tape).
-  void FitPerTrip(const std::vector<traj::Trip>& trips,
-                  const FitOptions& options);
 
   /// Single-threaded ScoreBatch body for one shard of rows: reads
   /// trips[rows[a]] / prefixes[rows[a]] (already clamped) and writes

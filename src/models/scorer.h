@@ -19,36 +19,14 @@ struct FitOptions {
   int epochs = 10;
   /// Rows per tape: each optimizer step back-propagates one length-sorted
   /// [batch_size, hidden] minibatch through a single tape (batched fused
-  /// GRU steps, finished-row masking). With `per_trip_tape` it reverts to
-  /// the legacy meaning — the number of per-trip tapes whose gradients are
-  /// accumulated between optimizer steps. Both paths take the same number
-  /// of optimizer steps per epoch and sum (not average) per-trip losses,
-  /// so a given lr/batch_size tuning transfers between them.
+  /// GRU steps, finished-row masking). Per-trip losses are summed, not
+  /// averaged, over the minibatch.
   int batch_size = 16;
   float lr = 1e-3f;
   double grad_clip = 5.0;
   uint64_t seed = 7;
   /// Print per-epoch loss, wall time, and trips/sec to stderr.
   bool verbose = false;
-  /// Legacy training path: one autograd tape per trip, gradients
-  /// accumulated across batch_size trips. Kept for A/B benchmarking
-  /// (bench_fig7_efficiency's fig7a section) and gradient-parity tests.
-  bool per_trip_tape = false;
-  /// Data-parallel batched training (honored by CausalTad::Fit): groups of
-  /// data_parallel_width minibatches build their forward tapes concurrently
-  /// — each minibatch samples from its own Rng seeded by the global batch
-  /// index, so losses and gradients are independent of worker count — then
-  /// the backward passes run serially in minibatch order and one clipped
-  /// optimizer step consumes the group's summed gradients. Effective rows
-  /// per step are batch_size * data_parallel_width. Ignored with
-  /// per_trip_tape.
-  bool data_parallel = false;
-  /// Minibatches per data-parallel group. The group width fixes the
-  /// optimizer trajectory (one step per group), so it is an explicit option
-  /// rather than a thread-count read: the same width trains to bit-identical
-  /// weights whether ParallelFor runs it on 1 thread or 16. <= 0 snapshots
-  /// util::ParallelThreads() at Fit entry.
-  int data_parallel_width = 0;
 };
 
 /// Epoch iteration plan for minibatched training: trip indices are

@@ -1,5 +1,6 @@
 #include "nn/checkpoint.h"
 
+#include <limits>
 #include <map>
 
 #include "util/binary_io.h"
@@ -9,28 +10,32 @@ namespace nn {
 namespace {
 constexpr uint32_t kMagic = 0xCA057AD0;
 // v1: (name, shape, f32 data) records. v2: records carry a u32 dtype tag
-// between shape and data — 0 = f32, 1 = int8 rows + per-row f32 scales.
+// between shape and data; 0 = f32 is the only tag.
 constexpr uint32_t kMinVersion = 1;
 constexpr uint32_t kVersion = 2;
 
 constexpr uint32_t kDtypeF32 = 0;
-constexpr uint32_t kDtypeI8 = 1;
 
-/// The embedding whose int8 copy backs this param, or null. Only an
-/// Embedding's own "table" parameter qualifies (an Embedding registers
-/// exactly that one param).
-const Embedding* QuantizedSourceOf(const NamedParam& p) {
-  const auto* emb = dynamic_cast<const Embedding*>(p.owner);
-  if (emb == nullptr || !emb->has_quantized()) return nullptr;
-  // Owner identity is enough today, but guard on the node too so a future
-  // Embedding with extra params cannot mis-tag them.
-  return p.var.node() == emb->table().node() ? emb : nullptr;
+// Parameters are at most 2-D; the bound only keeps a corrupted ndim from
+// sizing a huge shape vector.
+constexpr uint64_t kMaxDims = 8;
+
+/// Element count of `shape`, or -1 when a dim is negative or the product
+/// overflows int64.
+int64_t NumElements(const std::vector<int64_t>& shape) {
+  int64_t n = 1;
+  for (int64_t d : shape) {
+    if (d < 0 || (d > 0 && n > std::numeric_limits<int64_t>::max() / d)) {
+      return -1;
+    }
+    n *= d;
+  }
+  return n;
 }
 
 }  // namespace
 
-util::Status SaveCheckpoint(const std::string& path, const Module& module,
-                            const SaveOptions& options) {
+util::Status SaveCheckpoint(const std::string& path, const Module& module) {
   util::BinaryWriter writer(path, kMagic, kVersion);
   if (!writer.ok()) return util::Status::IoError("cannot open " + path);
   const auto params = module.NamedParameters();
@@ -40,20 +45,8 @@ util::Status SaveCheckpoint(const std::string& path, const Module& module,
     const auto& shape = p.var.value().shape();
     writer.WriteU64(shape.size());
     for (int64_t d : shape) writer.WriteI64(d);
-    const Embedding* emb =
-        options.quantize_embeddings ? QuantizedSourceOf(p) : nullptr;
-    if (emb != nullptr) {
-      const int64_t rows = p.var.value().dim(0);
-      const int64_t dim = p.var.value().dim(1);
-      writer.WriteU32(kDtypeI8);
-      writer.WriteBytes(std::vector<int8_t>(
-          emb->quantized_rows(), emb->quantized_rows() + rows * dim));
-      writer.WriteFloats(
-          std::vector<float>(emb->row_scales(), emb->row_scales() + rows));
-    } else {
-      writer.WriteU32(kDtypeF32);
-      writer.WriteFloats(p.var.value().vec());
-    }
+    writer.WriteU32(kDtypeF32);
+    writer.WriteFloats(p.var.value().vec());
   }
   return writer.Close();
 }
@@ -67,36 +60,28 @@ util::Status LoadCheckpoint(const std::string& path, Module* module) {
   const uint64_t count = reader.ReadU64();
   for (uint64_t i = 0; i < count && reader.ok(); ++i) {
     const std::string name = reader.ReadString();
+    // A failed read returns zeros, so these checks only fire on values
+    // actually read; the reader's own status wins below.
     const uint64_t ndim = reader.ReadU64();
+    if (ndim > kMaxDims) {
+      return util::Status::InvalidArgument("bad rank for " + name + " in " +
+                                           path);
+    }
     std::vector<int64_t> shape(ndim);
     for (uint64_t d = 0; d < ndim; ++d) shape[d] = reader.ReadI64();
     const uint32_t dtype =
         reader.version() >= 2 ? reader.ReadU32() : kDtypeF32;
-    if (dtype == kDtypeF32) {
-      records[name] = {std::move(shape), reader.ReadFloats()};
-    } else if (dtype == kDtypeI8) {
-      const std::vector<int8_t> q = reader.ReadBytes();
-      const std::vector<float> scales = reader.ReadFloats();
-      if (!reader.ok()) break;
-      if (shape.size() != 2 ||
-          static_cast<int64_t>(q.size()) != shape[0] * shape[1] ||
-          static_cast<int64_t>(scales.size()) != shape[0]) {
-        return util::Status::InvalidArgument(
-            "malformed int8 record for " + name + " in " + path);
-      }
-      std::vector<float> values(q.size());
-      const int64_t dim = shape[1];
-      for (int64_t r = 0; r < shape[0]; ++r) {
-        for (int64_t c = 0; c < dim; ++c) {
-          values[r * dim + c] =
-              static_cast<float>(q[r * dim + c]) * scales[r];
-        }
-      }
-      records[name] = {std::move(shape), std::move(values)};
-    } else {
+    if (dtype != kDtypeF32) {
       return util::Status::InvalidArgument(
           "unknown dtype tag for " + name + " in " + path);
     }
+    std::vector<float> values = reader.ReadFloats();
+    if (!reader.ok()) break;
+    if (NumElements(shape) != static_cast<int64_t>(values.size())) {
+      return util::Status::InvalidArgument(
+          "record size does not match shape for " + name + " in " + path);
+    }
+    records[name] = {std::move(shape), std::move(values)};
   }
   if (!reader.ok()) return reader.status();
 

@@ -9,29 +9,18 @@
 namespace causaltad {
 namespace nn {
 
-/// Checkpoint save knobs.
-struct SaveOptions {
-  /// Persist embedding tables whose int8 serving copy is fresh
-  /// (Embedding::has_quantized()) as dtype-int8 records — the quantized
-  /// rows plus per-row scales, a quarter of the fp32 bytes. Loading such a
-  /// record restores the exact serving-path values (the fp32 master is
-  /// rebuilt by dequantization, so full-precision residue is dropped).
-  bool quantize_embeddings = false;
-};
-
 /// Writes all named parameters of `module` to a binary checkpoint at `path`.
 /// Format (v2): magic/version header, param count, then
-/// (name, shape, dtype, data) records — dtype 0 is raw f32, dtype 1 is
-/// int8 rows followed by per-row f32 scales. Deterministic given the
-/// module's parameter values.
-util::Status SaveCheckpoint(const std::string& path, const Module& module,
-                            const SaveOptions& options = {});
+/// (name, shape, dtype, data) records with dtype 0 = raw f32, the only
+/// dtype written. Deterministic given the module's parameter values.
+util::Status SaveCheckpoint(const std::string& path, const Module& module);
 
 /// Restores parameters from `path` into `module`, matching records by name
-/// and shape. Reads both v1 checkpoints (untagged f32 records) and v2
-/// (dtype-tagged, possibly int8). Fails (without partial mutation of
-/// mismatched entries) when a record is missing, extra, or
-/// shape-mismatched.
+/// and shape. Reads v1 checkpoints (untagged f32 records) and v2 records
+/// tagged f32; any other dtype tag is InvalidArgument. Every size comes
+/// from the file, so each is checked against the bytes left and each
+/// record's float count against its shape. Fails (without mutating the
+/// module) on a malformed, missing, extra or shape-mismatched record.
 util::Status LoadCheckpoint(const std::string& path, Module* module);
 
 }  // namespace nn

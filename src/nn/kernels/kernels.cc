@@ -143,25 +143,6 @@ void SetIsa(Isa isa) {
   g_active.store(&TableFor(isa), std::memory_order_release);
 }
 
-void QuantizeRowsI8(const float* src, int64_t rows, int64_t d, int8_t* q,
-                    float* scales) {
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* row = src + i * d;
-    float absmax = 0.0f;
-    for (int64_t j = 0; j < d; ++j) {
-      absmax = std::max(absmax, std::fabs(row[j]));
-    }
-    const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
-    const float inv = 1.0f / scale;
-    int8_t* qrow = q + i * d;
-    for (int64_t j = 0; j < d; ++j) {
-      const float v = std::nearbyintf(row[j] * inv);
-      qrow[j] = static_cast<int8_t>(std::max(-127.0f, std::min(127.0f, v)));
-    }
-    scales[i] = scale;
-  }
-}
-
 }  // namespace kernels
 }  // namespace nn
 }  // namespace causaltad

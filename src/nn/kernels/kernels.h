@@ -91,17 +91,6 @@ struct Kernels {
   /// Embedding gather: out[i,:] = table[ids[i],:] for n rows of width d.
   void (*gather_rows_f32)(const float* table, int64_t d, const int32_t* ids,
                           int64_t n, float* out);
-
-  /// Quantized embedding gather: out[i,:] = scales[ids[i]] * q[ids[i],:]
-  /// (int8 symmetric per-row quantization).
-  void (*dequant_rows_i8)(const int8_t* q, const float* scales, int64_t d,
-                          const int32_t* ids, int64_t n, float* out);
-
-  /// Quantized matmul: out[i,:] = a_scales[i] * (int8 row a[i,:] @ b[k,n]).
-  /// A is read as int8 (quarter the bandwidth of fp32); accumulation is
-  /// fp32, the per-row scale applied after. Not accumulating.
-  void (*matmul_i8)(const int8_t* a, const float* a_scales, const float* b,
-                    float* out, int64_t m, int64_t k, int64_t n);
 };
 
 /// The table selected for this process (CPUID best, CAUSALTAD_ISA override,
@@ -123,14 +112,6 @@ const Kernels& Get(Isa isa);
 void SetIsa(Isa isa);
 
 const char* IsaName(Isa isa);
-
-/// Symmetric per-row absmax int8 quantization: scales[i] = absmax(row)/127
-/// (1 when the row is all zero), q[i,j] = round(src[i,j]/scales[i]).
-/// Re-quantizing a dequantized table is exact (the absmax element maps back
-/// to ±127 and reproduces the same scale), so quantized checkpoints
-/// round-trip bit-identically. ISA-independent.
-void QuantizeRowsI8(const float* src, int64_t rows, int64_t d, int8_t* q,
-                    float* scales);
 
 }  // namespace kernels
 }  // namespace nn

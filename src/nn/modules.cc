@@ -1,8 +1,6 @@
 #include "nn/modules.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "nn/init.h"
 #include "nn/kernels/kernels.h"
@@ -11,28 +9,7 @@
 namespace causaltad {
 namespace nn {
 
-namespace {
-
 using kernels::Kernels;
-
-// -1 = read CAUSALTAD_INT8_EMB on first query, 0/1 = explicit.
-std::atomic<int> g_int8_embeddings{-1};
-
-}  // namespace
-
-bool Int8EmbeddingsEnabled() {
-  int v = g_int8_embeddings.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("CAUSALTAD_INT8_EMB");
-    v = (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
-    g_int8_embeddings.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void SetInt8Embeddings(bool enabled) {
-  g_int8_embeddings.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 std::vector<Var> Module::Parameters() const {
   std::vector<Var> out;
@@ -48,7 +25,7 @@ void Module::CollectNamed(const std::string& prefix,
                           std::vector<NamedParam>* out) const {
   const std::string base = prefix.empty() ? name_ : prefix + "." + name_;
   for (const NamedParam& p : params_) {
-    out->push_back({base + "." + p.name, p.var, this});
+    out->push_back({base + "." + p.name, p.var});
   }
   for (const Module* m : submodules_) m->CollectNamed(base, out);
 }
@@ -87,46 +64,6 @@ Embedding::Embedding(std::string name, int64_t vocab, int64_t dim,
                      util::Rng* rng)
     : Module(std::move(name)) {
   table_ = RegisterParameter("table", GaussianInit({vocab, dim}, 0.1, rng));
-}
-
-bool Embedding::Int8Active() const {
-  return quant_valid_ && Int8EmbeddingsEnabled();
-}
-
-void Embedding::RefreshQuantized() {
-  const Tensor& t = table_.value();
-  quant_.resize(t.numel());
-  scales_.resize(t.dim(0));
-  kernels::QuantizeRowsI8(t.data(), t.dim(0), t.dim(1), quant_.data(),
-                          scales_.data());
-  quant_valid_ = true;
-}
-
-Var Embedding::Forward(std::span<const int32_t> ids) const {
-  // Tape-recording lookups must gather fp32 so gradients scatter into the
-  // master table at full precision; only no-grad reads serve int8.
-  const bool taping = !InferenceGuard::active() && table_.requires_grad();
-  if (!taping && Int8Active()) {
-    const int64_t d = dim();
-    Tensor out({static_cast<int64_t>(ids.size()), d});
-    kernels::Active().dequant_rows_i8(quant_.data(), scales_.data(), d,
-                                      ids.data(), ids.size(), out.data());
-    return Var(std::move(out), /*requires_grad=*/false);
-  }
-  return GatherRows(table_, ids);
-}
-
-void Embedding::GatherRowValues(std::span<const int32_t> ids,
-                                float* out) const {
-  const Kernels& kern = kernels::Active();
-  const int64_t d = dim();
-  if (Int8Active()) {
-    kern.dequant_rows_i8(quant_.data(), scales_.data(), d, ids.data(),
-                         ids.size(), out);
-  } else {
-    kern.gather_rows_f32(table_.value().data(), d, ids.data(), ids.size(),
-                         out);
-  }
 }
 
 GruCell::GruCell(std::string name, int64_t in_dim, int64_t hidden_dim,
@@ -181,11 +118,14 @@ Var GruCell::StepFused(const Var& x, const Var& h) const {
   return FusedGateTail(th, batch, z, r, c);
 }
 
-float* GruCell::PackedGateWeights(int64_t in) const {
-  // [Wz | Wr | Wh] packed side by side in arena scratch (caller holds the
-  // ArenaScope): one gemm against it is identical math to three separate
-  // input-weight gemms, amortized over every unique row.
+Tensor GruCell::ProjectInputs(const Tensor& xs) const {
+  const int64_t n = xs.dim(0);
+  const int64_t in = xs.dim(1);
   const int64_t hd = hidden_dim_;
+  // [Wz | Wr | Wh] packed side by side in arena scratch: one gemm against
+  // it is identical math to three separate input-weight gemms, amortized
+  // over every unique row.
+  internal::ArenaScope scope;
   float* fused = internal::ArenaAlloc(in * 3 * hd);
   for (int64_t p = 0; p < in; ++p) {
     std::copy(wz_.value().data() + p * hd, wz_.value().data() + (p + 1) * hd,
@@ -195,28 +135,9 @@ float* GruCell::PackedGateWeights(int64_t in) const {
     std::copy(wh_.value().data() + p * hd, wh_.value().data() + (p + 1) * hd,
               fused + p * 3 * hd + 2 * hd);
   }
-  return fused;
-}
-
-Tensor GruCell::ProjectInputs(const Tensor& xs) const {
-  const int64_t n = xs.dim(0);
-  const int64_t in = xs.dim(1);
-  const int64_t hd = hidden_dim_;
-  internal::ArenaScope scope;
-  float* fused = PackedGateWeights(in);
   Tensor out({n, 3 * hd});
   kernels::Active().matmul_packed(xs.data(), fused, out.data(), n, in, 3 * hd,
                                   false, false);
-  return out;
-}
-
-Tensor GruCell::ProjectInputsQuantized(const int8_t* q, const float* scales,
-                                       int64_t rows, int64_t in_dim) const {
-  internal::ArenaScope scope;
-  float* fused = PackedGateWeights(in_dim);
-  Tensor out({rows, 3 * hidden_dim_});
-  kernels::Active().matmul_i8(q, scales, fused, out.data(), rows, in_dim,
-                              3 * hidden_dim_);
   return out;
 }
 

@@ -14,14 +14,10 @@ namespace nn {
 
 class Module;
 
-/// A parameter with its hierarchical name ("encoder.fc1.w"). `owner` is the
-/// module the parameter was registered on (null for ad-hoc entries built
-/// outside a module tree) — the checkpoint writer uses it to recognize
-/// embedding tables that carry an int8 serving copy.
+/// A parameter with its hierarchical name ("encoder.fc1.w").
 struct NamedParam {
   std::string name;
   Var var;
-  const Module* owner = nullptr;
 };
 
 /// Base class for parameterized components. Subclasses register parameters
@@ -77,53 +73,15 @@ class Linear : public Module {
   Var w_, b_;
 };
 
-/// Process-wide switch for serving-path int8 embedding reads. Defaults to
-/// the CAUSALTAD_INT8_EMB environment variable (off when unset). When on,
-/// every Embedding whose quantized copy is fresh (RefreshQuantized() called
-/// since the last table mutation) serves its no-grad reads dequantized from
-/// the int8 copy; training-tape gathers always read the fp32 master so
-/// gradients keep full precision.
-bool Int8EmbeddingsEnabled();
-void SetInt8Embeddings(bool enabled);
-
-/// Token embedding table [vocab, dim], with an optional int8 serving copy.
-///
-/// Quantization format: symmetric per-row absmax int8 —
-/// q[i,j] = round(table[i,j] / scale[i]), scale[i] = absmax(row i)/127.
-/// The fp32 table stays the single authoritative parameter (gradients
-/// scatter into it, checkpoints may persist either representation); the
-/// int8 copy is a derived cache refreshed by RefreshQuantized(). Callers
-/// that mutate the table (Fit, Load, manual writes) must re-refresh before
-/// serving — the CausalTad serving-cache rebuild hook does this.
+/// Token embedding table [vocab, dim].
 class Embedding : public Module {
  public:
   Embedding(std::string name, int64_t vocab, int64_t dim, util::Rng* rng);
 
-  /// Looks up rows -> [ids.size(), dim]. When the int8 path is active
-  /// (switch on + fresh quantized copy) and no tape is being recorded, the
-  /// returned values are the dequantized int8 rows — the same values every
-  /// other serving-path read sees, so batched and streaming scorers stay
-  /// bit-identical. Tape-recording lookups always gather fp32.
-  Var Forward(std::span<const int32_t> ids) const;
-
-  /// Gathers rows into out[ids.size() * dim] without building a Var:
-  /// dequantized int8 when the int8 path is active, fp32 copies otherwise.
-  /// The raw-buffer twin of Forward for the fused scoring paths.
-  void GatherRowValues(std::span<const int32_t> ids, float* out) const;
-
-  /// Re-quantizes the int8 copy from the current fp32 table.
-  void RefreshQuantized();
-
-  /// True when the switch is on and the quantized copy is fresh — the
-  /// condition under which every no-grad read serves int8.
-  bool Int8Active() const;
-
-  /// Raw quantized storage for the int8 matmul fast path and the
-  /// checkpoint writer. Valid only while Int8Active() / after
-  /// RefreshQuantized().
-  const int8_t* quantized_rows() const { return quant_.data(); }
-  const float* row_scales() const { return scales_.data(); }
-  bool has_quantized() const { return quant_valid_; }
+  /// Looks up rows -> [ids.size(), dim].
+  Var Forward(std::span<const int32_t> ids) const {
+    return GatherRows(table_, ids);
+  }
 
   const Var& table() const { return table_; }
   int64_t vocab() const { return table_.value().dim(0); }
@@ -131,9 +89,6 @@ class Embedding : public Module {
 
  private:
   Var table_;
-  std::vector<int8_t> quant_;
-  std::vector<float> scales_;
-  bool quant_valid_ = false;
 };
 
 /// Gated recurrent unit cell (Cho et al. 2014).
@@ -167,14 +122,6 @@ class GruCell : public Module {
   /// only — requires an active InferenceGuard.
   Var StepFusedProjected(const float* xw, int64_t batch, const Var& h) const;
 
-  /// ProjectInputs over an int8-quantized embedding table: multiplies
-  /// every row of `q` ([rows, in] int8, per-row `scales`) against the
-  /// packed [Wz | Wr | Wh] gate weights through the registry's int8
-  /// matmul, reading a quarter of the fp32 bandwidth. Row i of the result
-  /// is scales[i] * (q[i,:] · [Wz|Wr|Wh]) ([rows, 3*hidden]).
-  Tensor ProjectInputsQuantized(const int8_t* q, const float* scales,
-                                int64_t rows, int64_t in_dim) const;
-
   /// Batched *training* step: x [B,in], h [B,hidden] -> h' [B,hidden] as a
   /// single tape node whose hand-written backward reuses the packed MatMul
   /// kernel and the fastmath transcendentals — the tape-aware twin of
@@ -194,10 +141,6 @@ class GruCell : public Module {
   /// applies the nonlinearities in one pass. Buffers are arena scratch.
   Var FusedGateTail(const Tensor& th, int64_t batch, float* z, float* r,
                     float* c) const;
-
-  /// Arena-packs [Wz | Wr | Wh] side by side ([in, 3*hidden]); the caller
-  /// holds the ArenaScope.
-  float* PackedGateWeights(int64_t in) const;
 
   int64_t hidden_dim_;
   Var wz_, uz_, bz_;

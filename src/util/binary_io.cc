@@ -1,13 +1,9 @@
 #include "util/binary_io.h"
 
 #include <cstring>
-#include <limits>
 
 namespace causaltad {
 namespace util {
-namespace {
-constexpr uint64_t kMaxContainer = 1ULL << 32;  // sanity bound on lengths
-}
 
 BinaryWriter::BinaryWriter(const std::string& path, uint32_t magic,
                            uint32_t version)
@@ -42,11 +38,6 @@ void BinaryWriter::WriteI64s(const std::vector<int64_t>& v) {
   WriteRaw(v.data(), v.size() * sizeof(int64_t));
 }
 
-void BinaryWriter::WriteBytes(const std::vector<int8_t>& v) {
-  WriteU64(v.size());
-  WriteRaw(v.data(), v.size());
-}
-
 Status BinaryWriter::Close() {
   out_.flush();
   if (!out_.good()) return Status::IoError("write failed for " + path_);
@@ -60,11 +51,18 @@ BinaryReader::BinaryReader(const std::string& path, uint32_t magic,
 
 BinaryReader::BinaryReader(const std::string& path, uint32_t magic,
                            uint32_t min_version, uint32_t max_version)
-    : in_(path, std::ios::binary), path_(path) {
+    : in_(path, std::ios::binary | std::ios::ate), path_(path) {
   if (!in_.good()) {
     Fail("cannot open");
     return;
   }
+  const std::streamoff size = in_.tellg();
+  in_.seekg(0);
+  if (size < 0 || !in_.good()) {
+    Fail("cannot size");
+    return;
+  }
+  remaining_ = static_cast<uint64_t>(size);
   ok_ = true;
   const uint32_t got_magic = ReadU32();
   version_ = ReadU32();
@@ -78,8 +76,13 @@ BinaryReader::BinaryReader(const std::string& path, uint32_t magic,
 
 void BinaryReader::ReadRaw(void* data, size_t n) {
   if (!ok_) return;
+  if (n > remaining_) {
+    Fail("truncated read");
+    return;
+  }
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
   if (!in_.good() && n > 0) Fail("truncated read");
+  remaining_ -= n;
 }
 
 void BinaryReader::Fail(const std::string& msg) {
@@ -117,59 +120,29 @@ double BinaryReader::ReadF64() {
   return v;
 }
 
-std::string BinaryReader::ReadString() {
+template <typename T>
+std::vector<T> BinaryReader::ReadVector() {
   const uint64_t n = ReadU64();
-  if (!ok_ || n > kMaxContainer) {
-    Fail("bad string length");
-    return "";
-  }
-  std::string s(n, '\0');
-  ReadRaw(s.data(), n);
-  return s;
-}
-
-std::vector<float> BinaryReader::ReadFloats() {
-  const uint64_t n = ReadU64();
-  if (!ok_ || n > kMaxContainer) {
-    Fail("bad vector length");
-    return {};
-  }
-  std::vector<float> v(n);
-  ReadRaw(v.data(), n * sizeof(float));
+  if (ok_ && n > remaining_ / sizeof(T)) Fail("bad length");
+  if (!ok_) return {};
+  std::vector<T> v(n);
+  ReadRaw(v.data(), n * sizeof(T));
   return v;
 }
+
+std::string BinaryReader::ReadString() {
+  const std::vector<char> chars = ReadVector<char>();
+  return std::string(chars.begin(), chars.end());
+}
+
+std::vector<float> BinaryReader::ReadFloats() { return ReadVector<float>(); }
 
 std::vector<int32_t> BinaryReader::ReadInts() {
-  const uint64_t n = ReadU64();
-  if (!ok_ || n > kMaxContainer) {
-    Fail("bad vector length");
-    return {};
-  }
-  std::vector<int32_t> v(n);
-  ReadRaw(v.data(), n * sizeof(int32_t));
-  return v;
+  return ReadVector<int32_t>();
 }
 
 std::vector<int64_t> BinaryReader::ReadI64s() {
-  const uint64_t n = ReadU64();
-  if (!ok_ || n > kMaxContainer) {
-    Fail("bad vector length");
-    return {};
-  }
-  std::vector<int64_t> v(n);
-  ReadRaw(v.data(), n * sizeof(int64_t));
-  return v;
-}
-
-std::vector<int8_t> BinaryReader::ReadBytes() {
-  const uint64_t n = ReadU64();
-  if (!ok_ || n > kMaxContainer) {
-    Fail("bad vector length");
-    return {};
-  }
-  std::vector<int8_t> v(n);
-  ReadRaw(v.data(), n);
-  return v;
+  return ReadVector<int64_t>();
 }
 
 void BufferWriter::WriteRaw(const void* data, size_t n) {

@@ -31,7 +31,6 @@ class BinaryWriter {
   void WriteFloats(const std::vector<float>& v);
   void WriteInts(const std::vector<int32_t>& v);
   void WriteI64s(const std::vector<int64_t>& v);
-  void WriteBytes(const std::vector<int8_t>& v);
 
   /// Flushes and reports any accumulated stream error.
   Status Close();
@@ -44,6 +43,10 @@ class BinaryWriter {
 };
 
 /// Reader counterpart of BinaryWriter; validates magic and version on open.
+/// Every read is bounded by the bytes left in the file: a short read, or a
+/// length prefix larger than what remains, flips ok() before anything is
+/// allocated, so a truncated or corrupted file cannot force a huge
+/// allocation or an over-read.
 class BinaryReader {
  public:
   BinaryReader(const std::string& path, uint32_t magic,
@@ -68,16 +71,18 @@ class BinaryReader {
   std::vector<float> ReadFloats();
   std::vector<int32_t> ReadInts();
   std::vector<int64_t> ReadI64s();
-  std::vector<int8_t> ReadBytes();
 
  private:
   void ReadRaw(void* data, size_t n);
   void Fail(const std::string& msg);
+  template <typename T>
+  std::vector<T> ReadVector();
 
   std::ifstream in_;
   std::string path_;
   bool ok_ = false;
   uint32_t version_ = 0;
+  uint64_t remaining_ = 0;
   Status status_;
 };
 

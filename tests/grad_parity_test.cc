@@ -380,59 +380,6 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 // Batched Fit end to end (every variant trains and scores finitely).
 // ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// Data-parallel training: the trained model must not depend on how many
-// threads built the group's forward tapes.
-// ---------------------------------------------------------------------------
-
-TEST(DataParallelFitTest, WorkerCountDoesNotChangeTrainedWeights) {
-  core::CausalTadConfig cfg;
-  cfg.tg.emb_dim = 12;
-  cfg.tg.hidden_dim = 16;
-  cfg.tg.latent_dim = 8;
-  cfg.rp.emb_dim = 8;
-  cfg.rp.hidden_dim = 16;
-  cfg.rp.latent_dim = 4;
-  cfg.scaling_samples = 4;
-  const auto train = eval::Subsample(Data().train, 48, 9);
-  const auto test = eval::Subsample(Data().id_test, 8, 3);
-  std::vector<int64_t> prefixes;
-  for (const traj::Trip& trip : test) prefixes.push_back(trip.route.size());
-
-  models::FitOptions options;
-  options.epochs = 2;
-  options.batch_size = 8;
-  options.lr = 3e-3f;
-  options.seed = 33;
-  options.data_parallel = true;
-  options.data_parallel_width = 3;  // fixed width: trajectory pinned
-
-  util::SetParallelThreads(1);
-  core::CausalTad single(&Data().city.network, cfg);
-  single.Fit(train, options);
-  const std::vector<double> single_scores = single.ScoreBatch(test, prefixes);
-
-  util::SetParallelThreads(4);
-  core::CausalTad threaded(&Data().city.network, cfg);
-  threaded.Fit(train, options);
-  util::SetParallelThreads(1);
-  const std::vector<double> threaded_scores =
-      threaded.ScoreBatch(test, prefixes);
-  util::SetParallelThreads(0);
-
-  ASSERT_EQ(single_scores.size(), threaded_scores.size());
-  for (size_t i = 0; i < single_scores.size(); ++i) {
-    ASSERT_TRUE(std::isfinite(threaded_scores[i])) << i;
-    // Forward tapes are read-only on parameters, backward runs serially in
-    // minibatch order: the trained weights are bit-identical, so the scores
-    // are too. kGradTol is the ISSUE-level bound; equality is the design.
-    EXPECT_NEAR(threaded_scores[i], single_scores[i],
-                kGradTol * std::max(1.0, std::abs(single_scores[i])))
-        << "trip " << i;
-    EXPECT_EQ(threaded_scores[i], single_scores[i]) << "trip " << i;
-  }
-}
-
 TEST(BatchedFitTest, AllVariantsTrainAndScore) {
   const std::vector<traj::Trip> trips = SyntheticTrips(40, 40, 55);
   models::RnnVaeConfig base;

@@ -1,9 +1,7 @@
 // Kernel-substrate tests: every SIMD backend the host supports must
 // reproduce the baseline table within 1e-6 relative (FMA contraction and
-// the AVX-512 16-lane reduction are the only permitted differences), the
-// int8 quantization path must round-trip within its scale bound and score
-// within 1e-3 of fp32 end to end, and quantized checkpoints must reload
-// into the exact serving-path values (plus v1 fp32 compatibility).
+// the AVX-512 16-lane reduction are the only permitted differences), and
+// checkpoints must round-trip f32 exactly (plus v1 compatibility).
 
 #include <gtest/gtest.h>
 
@@ -11,14 +9,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
-#include "core/causal_tad.h"
-#include "eval/datasets.h"
-#include "nn/autograd.h"
 #include "nn/checkpoint.h"
 #include "nn/kernels/kernels.h"
 #include "nn/modules.h"
@@ -31,7 +24,6 @@ namespace {
 using nn::kernels::Get;
 using nn::kernels::Isa;
 using nn::kernels::Kernels;
-using nn::kernels::QuantizeRowsI8;
 using nn::kernels::SetIsa;
 using nn::kernels::Supported;
 
@@ -46,13 +38,6 @@ class IsaScope {
     if (Supported(Isa::kAvx2)) return Isa::kAvx2;
     return Isa::kBaseline;
   }
-};
-
-/// Restores the int8-embeddings switch (and nothing else) on scope exit.
-class Int8Scope {
- public:
-  explicit Int8Scope(bool enabled) { nn::SetInt8Embeddings(enabled); }
-  ~Int8Scope() { nn::SetInt8Embeddings(false); }
 };
 
 std::vector<float> RandomVec(int64_t n, uint64_t seed, float scale = 1.0f) {
@@ -155,20 +140,6 @@ std::vector<float> KernelFingerprint(const Kernels& kern) {
                        static_cast<int64_t>(ids.size()), rows.data());
   emit(rows);
 
-  std::vector<int8_t> q(29 * 13);
-  std::vector<float> scales(29);
-  QuantizeRowsI8(table.data(), 29, 13, q.data(), scales.data());
-  kern.dequant_rows_i8(q.data(), scales.data(), 13, ids.data(),
-                       static_cast<int64_t>(ids.size()), rows.data());
-  emit(rows);
-
-  std::vector<int8_t> qa(m * k);
-  std::vector<float> qs(m);
-  QuantizeRowsI8(a.data(), m, k, qa.data(), qs.data());
-  std::vector<float> qmm(m * n);
-  kern.matmul_i8(qa.data(), qs.data(), b.data(), qmm.data(), m, k, n);
-  emit(qmm);
-
   return out;
 }
 
@@ -208,252 +179,17 @@ TEST(KernelIsaTest, SetIsaPinsActiveTable) {
 }
 
 // ---------------------------------------------------------------------------
-// int8 quantization.
-// ---------------------------------------------------------------------------
-
-TEST(QuantizeRowsI8Test, RoundTripWithinScaleBound) {
-  constexpr int64_t rows = 17, d = 31;
-  const std::vector<float> src = RandomVec(rows * d, 201, 0.8f);
-  std::vector<int8_t> q(rows * d);
-  std::vector<float> scales(rows);
-  QuantizeRowsI8(src.data(), rows, d, q.data(), scales.data());
-  for (int64_t r = 0; r < rows; ++r) {
-    float absmax = 0.0f;
-    for (int64_t c = 0; c < d; ++c) {
-      absmax = std::max(absmax, std::abs(src[r * d + c]));
-      EXPECT_NEAR(static_cast<float>(q[r * d + c]) * scales[r], src[r * d + c],
-                  0.5f * scales[r] + 1e-7f)
-          << r << "," << c;
-    }
-    EXPECT_FLOAT_EQ(scales[r], absmax / 127.0f);
-  }
-}
-
-TEST(QuantizeRowsI8Test, AllZeroRowGetsUnitScale) {
-  const std::vector<float> src(3 * 8, 0.0f);
-  std::vector<int8_t> q(3 * 8, 99);
-  std::vector<float> scales(3, -1.0f);
-  QuantizeRowsI8(src.data(), 3, 8, q.data(), scales.data());
-  for (float s : scales) EXPECT_FLOAT_EQ(s, 1.0f);
-  for (int8_t v : q) EXPECT_EQ(v, 0);
-}
-
-TEST(QuantizeRowsI8Test, RequantizingDequantizedTableIsExact) {
-  constexpr int64_t rows = 9, d = 16;
-  const std::vector<float> src = RandomVec(rows * d, 202);
-  std::vector<int8_t> q(rows * d);
-  std::vector<float> scales(rows);
-  QuantizeRowsI8(src.data(), rows, d, q.data(), scales.data());
-  std::vector<float> deq(rows * d);
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t c = 0; c < d; ++c) {
-      deq[r * d + c] = static_cast<float>(q[r * d + c]) * scales[r];
-    }
-  }
-  std::vector<int8_t> q2(rows * d);
-  std::vector<float> scales2(rows);
-  QuantizeRowsI8(deq.data(), rows, d, q2.data(), scales2.data());
-  EXPECT_EQ(q, q2);
-  for (int64_t r = 0; r < rows; ++r) EXPECT_EQ(scales[r], scales2[r]) << r;
-}
-
-TEST(Int8MatmulTest, MatchesDequantizeThenMatmul) {
-  constexpr int64_t m = 7, k = 24, n = 11;
-  const Kernels& kern = nn::kernels::Active();
-  const std::vector<float> a = RandomVec(m * k, 203);
-  const std::vector<float> b = RandomVec(k * n, 204);
-  std::vector<int8_t> qa(m * k);
-  std::vector<float> qs(m);
-  QuantizeRowsI8(a.data(), m, k, qa.data(), qs.data());
-
-  std::vector<float> deq(m * k);
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < k; ++j) {
-      deq[i * k + j] = static_cast<float>(qa[i * k + j]) * qs[i];
-    }
-  }
-  std::vector<float> want(m * n);
-  kern.matmul_packed(deq.data(), b.data(), want.data(), m, k, n,
-                     /*accumulate=*/false, /*b_pretransposed=*/false);
-  std::vector<float> got(m * n);
-  kern.matmul_i8(qa.data(), qs.data(), b.data(), got.data(), m, k, n);
-  // Same int8 operands; the only divergence is scale-after-accumulate vs
-  // scale-per-element rounding.
-  ExpectClose(got, want, 1e-5, "matmul_i8");
-}
-
-// ---------------------------------------------------------------------------
-// int8 embedding serving reads.
-// ---------------------------------------------------------------------------
-
-TEST(Int8EmbeddingTest, NoGradReadsServeDequantizedRows) {
-  util::Rng rng(31);
-  nn::Embedding emb("emb", /*vocab=*/23, /*dim=*/12, &rng);
-  Int8Scope int8(true);
-  emb.RefreshQuantized();
-  ASSERT_TRUE(emb.Int8Active());
-
-  const std::vector<int32_t> ids = {0, 5, 22, 5};
-  std::vector<float> want(ids.size() * 12);
-  const Kernels& kern = nn::kernels::Active();
-  kern.dequant_rows_i8(emb.quantized_rows(), emb.row_scales(), 12, ids.data(),
-                       static_cast<int64_t>(ids.size()), want.data());
-
-  nn::InferenceGuard guard;
-  const nn::Var out = emb.Forward(ids);
-  std::vector<float> raw(ids.size() * 12);
-  emb.GatherRowValues(ids, raw.data());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(out.value()[static_cast<int64_t>(i)], want[i]) << i;
-    EXPECT_EQ(raw[i], want[i]) << i;
-  }
-}
-
-TEST(Int8EmbeddingTest, TapedReadsStayFp32) {
-  util::Rng rng(32);
-  nn::Embedding emb("emb", 17, 8, &rng);
-  Int8Scope int8(true);
-  emb.RefreshQuantized();
-  const std::vector<int32_t> ids = {3, 9};
-  const nn::Var out = emb.Forward(ids);  // taping: must read the fp32 master
-  for (int64_t i = 0; i < 2; ++i) {
-    for (int64_t c = 0; c < 8; ++c) {
-      EXPECT_EQ(out.value()[i * 8 + c], emb.table().value()[ids[i] * 8 + c]);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end int8 scoring parity on the fitted model.
-// ---------------------------------------------------------------------------
-
-const eval::ExperimentData& Data() {
-  static const eval::ExperimentData* data = new eval::ExperimentData(
-      eval::BuildExperiment(eval::XianConfig(eval::Scale::kSmoke)));
-  return *data;
-}
-
-core::CausalTad& FittedModel() {
-  static core::CausalTad* model = [] {
-    core::CausalTadConfig cfg;
-    cfg.tg.emb_dim = 16;
-    cfg.tg.hidden_dim = 24;
-    cfg.tg.latent_dim = 12;
-    cfg.rp.emb_dim = 12;
-    cfg.rp.hidden_dim = 24;
-    cfg.rp.latent_dim = 8;
-    cfg.scaling_samples = 6;
-    auto* m = new core::CausalTad(&Data().city.network, cfg);
-    models::FitOptions options;
-    options.epochs = 2;
-    options.lr = 3e-3f;
-    options.seed = 21;
-    m->Fit(eval::Subsample(Data().train, 64, 5), options);
-    return m;
-  }();
-  return *model;
-}
-
-TEST(Int8ScoringParityTest, QuantizedScoresWithinOnePermilOfFp32) {
-  core::CausalTad& model = FittedModel();
-  std::vector<traj::Trip> trips = eval::Subsample(Data().id_test, 6, 3);
-  const auto detours = eval::Subsample(Data().id_detour, 3, 4);
-  trips.insert(trips.end(), detours.begin(), detours.end());
-  std::vector<int64_t> prefixes;
-  for (const traj::Trip& trip : trips) prefixes.push_back(trip.route.size());
-
-  const std::vector<double> fp32 = model.ScoreBatch(trips, prefixes);
-
-  Int8Scope int8(true);
-  model.RebuildServingCache();  // refreshes the quantized tables
-  const std::vector<double> quant = model.ScoreBatch(trips, prefixes);
-  ASSERT_EQ(quant.size(), fp32.size());
-  for (size_t i = 0; i < fp32.size(); ++i) {
-    EXPECT_NEAR(quant[i], fp32[i], 1e-3 * std::max(1.0, std::abs(fp32[i])))
-        << "trip " << i;
-  }
-  // Per-trip Score goes through the same no-grad serving reads, so the
-  // batched and one-at-a-time int8 paths must agree to float precision.
-  for (size_t i = 0; i < trips.size(); ++i) {
-    const double one = model.Score(trips[i], prefixes[i]);
-    EXPECT_NEAR(quant[i], one, 1e-4 * std::max(1.0, std::abs(one)))
-        << "trip " << i;
-  }
-
-  nn::SetInt8Embeddings(false);
-  const std::vector<double> back = model.ScoreBatch(trips, prefixes);
-  for (size_t i = 0; i < fp32.size(); ++i) {
-    EXPECT_EQ(back[i], fp32[i]) << "fp32 path must be untouched, trip " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint v2: dtype-tagged records, quantized round-trip, v1 compat.
+// Checkpoint v2: dtype-tagged f32 records, v1 compat.
 // ---------------------------------------------------------------------------
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-TEST(CheckpointV2Test, QuantizedSaveRestoresServingValues) {
-  const std::string path = TempPath("causaltad_ckpt_i8.bin");
-  util::Rng rng(61);
-  nn::Embedding a("emb", 19, 10, &rng);
-  a.RefreshQuantized();
-  nn::SaveOptions options;
-  options.quantize_embeddings = true;
-  ASSERT_TRUE(nn::SaveCheckpoint(path, a, options).ok());
-
-  util::Rng rng2(999);
-  nn::Embedding b("emb", 19, 10, &rng2);
-  ASSERT_TRUE(nn::LoadCheckpoint(path, &b).ok());
-  // The loaded fp32 table is the dequantized rows: every value within the
-  // quantization bound, and re-quantizing reproduces the saved bytes.
-  std::vector<int8_t> q(19 * 10);
-  std::vector<float> scales(19);
-  QuantizeRowsI8(a.table().value().vec().data(), 19, 10, q.data(),
-                 scales.data());
-  for (int64_t r = 0; r < 19; ++r) {
-    for (int64_t c = 0; c < 10; ++c) {
-      EXPECT_EQ(b.table().value()[r * 10 + c],
-                static_cast<float>(q[r * 10 + c]) * scales[r])
-          << r << "," << c;
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointV2Test, QuantizedCheckpointRoundTripsBitIdentically) {
-  const std::string p1 = TempPath("causaltad_ckpt_i8_rt1.bin");
-  const std::string p2 = TempPath("causaltad_ckpt_i8_rt2.bin");
-  util::Rng rng(62);
-  nn::Embedding a("emb", 11, 6, &rng);
-  a.RefreshQuantized();
-  nn::SaveOptions options;
-  options.quantize_embeddings = true;
-  ASSERT_TRUE(nn::SaveCheckpoint(p1, a, options).ok());
-
-  util::Rng rng2(63);
-  nn::Embedding b("emb", 11, 6, &rng2);
-  ASSERT_TRUE(nn::LoadCheckpoint(p1, &b).ok());
-  b.RefreshQuantized();
-  ASSERT_TRUE(nn::SaveCheckpoint(p2, b, options).ok());
-
-  std::ifstream f1(p1, std::ios::binary), f2(p2, std::ios::binary);
-  const std::string c1((std::istreambuf_iterator<char>(f1)),
-                       std::istreambuf_iterator<char>());
-  const std::string c2((std::istreambuf_iterator<char>(f2)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(c1, c2);
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
-}
-
 TEST(CheckpointV2Test, UnquantizedSaveIsExactAndDefault) {
   const std::string path = TempPath("causaltad_ckpt_f32.bin");
   util::Rng rng(64);
   nn::Embedding a("emb", 13, 7, &rng);
-  a.RefreshQuantized();  // must NOT leak into a default (fp32) save
   ASSERT_TRUE(nn::SaveCheckpoint(path, a).ok());
   util::Rng rng2(65);
   nn::Embedding b("emb", 13, 7, &rng2);

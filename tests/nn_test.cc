@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include "nn/autograd.h"
 #include "nn/checkpoint.h"
@@ -12,6 +19,7 @@
 #include "nn/ops.h"
 #include "nn/optim.h"
 #include "nn/tensor.h"
+#include "util/binary_io.h"
 
 namespace causaltad {
 namespace nn {
@@ -504,6 +512,226 @@ TEST(CheckpointTest, MissingFileFails) {
   util::Rng rng(54);
   Mlp m("model", {2, 2}, &rng);
   EXPECT_FALSE(LoadCheckpoint("/nonexistent/ckpt.bin", &m).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint loader hardening: every size in the file is untrusted.
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kCkptMagic = 0xCA057AD0;
+
+/// Per-process path so the ISA rerun of this binary cannot race on it.
+std::string FuzzPath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          (name + "." + std::to_string(::getpid()) + ".bin"))
+      .string();
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every parameter holds exactly as many floats as its shape says.
+bool BuffersMatchShapes(const Module& module) {
+  for (const NamedParam& p : module.NamedParameters()) {
+    const Tensor& t = p.var.value();
+    int64_t elements = 1;
+    for (const int64_t d : t.shape()) elements *= d;
+    if (static_cast<int64_t>(t.vec().size()) != elements) return false;
+  }
+  return true;
+}
+
+/// Loads `bytes` as a checkpoint into a fresh {3,5,2} Mlp and returns the
+/// load status. Whether or not the load succeeded, every tensor's buffer
+/// must match its shape.
+util::Status ExpectSafeLoad(const std::string& path, const std::string& bytes,
+                            const std::string& what) {
+  WriteFileBytes(path, bytes);
+  util::Rng rng(7);
+  Mlp target("model", {3, 5, 2}, &rng);
+  const util::Status status = LoadCheckpoint(path, &target);
+  EXPECT_TRUE(BuffersMatchShapes(target))
+      << what << " (" << (status.ok() ? "ok" : status.ToString()) << ")";
+  return status;
+}
+
+/// Offsets of every u64/i64 size field in a well-formed v2 checkpoint: the
+/// record count, then per record the name length, ndim, each dim and the
+/// float count.
+std::vector<size_t> SizeFieldOffsets(const std::string& file) {
+  const auto u64_at = [&file](size_t at) {
+    uint64_t v;
+    std::memcpy(&v, file.data() + at, sizeof(v));
+    return v;
+  };
+  std::vector<size_t> offsets = {8};
+  size_t at = 16;
+  for (uint64_t r = 0; r < u64_at(8); ++r) {
+    offsets.push_back(at);  // name length
+    at += 8 + u64_at(at);
+    offsets.push_back(at);  // ndim
+    const uint64_t ndim = u64_at(at);
+    at += 8;
+    for (uint64_t d = 0; d < ndim; ++d, at += 8) offsets.push_back(at);
+    at += 4;                // dtype
+    offsets.push_back(at);  // float count
+    at += 8 + 4 * u64_at(at);
+  }
+  return offsets;
+}
+
+/// A v2 header plus one record for `name` with the given shape and dtype;
+/// `body` writes the payload.
+template <typename Body>
+void WriteOneRecord(const std::string& path, const std::string& name,
+                    const std::vector<int64_t>& shape, uint32_t dtype,
+                    Body body) {
+  util::BinaryWriter writer(path, kCkptMagic, /*version=*/2);
+  writer.WriteU64(1);
+  writer.WriteString(name);
+  writer.WriteU64(shape.size());
+  for (int64_t d : shape) writer.WriteI64(d);
+  writer.WriteU32(dtype);
+  body(&writer);
+  ASSERT_TRUE(writer.Close().ok());
+}
+
+TEST(CheckpointFuzzTest, TruncationsFlipsAndLengthOverwritesNeverCorrupt) {
+  const std::string path = FuzzPath("causaltad_ckpt_fuzz");
+  util::Rng init(71);
+  Mlp source("model", {3, 5, 2}, &init);
+  ASSERT_TRUE(SaveCheckpoint(path, source).ok());
+  const std::string good = ReadFileBytes(path);
+  ASSERT_GT(good.size(), 64u);
+
+  // Every proper prefix is missing records, so every one must fail.
+  for (size_t len = 0; len < good.size(); ++len) {
+    const std::string what = "prefix " + std::to_string(len);
+    EXPECT_FALSE(ExpectSafeLoad(path, good.substr(0, len), what).ok())
+        << what;
+  }
+
+  util::Rng rng(0xF022);
+  for (int i = 0; i < 400; ++i) {
+    std::string bytes = good;
+    const int flips = 1 + static_cast<int>(rng.UniformInt(3));
+    for (int f = 0; f < flips; ++f) {
+      bytes[rng.UniformInt(static_cast<int64_t>(bytes.size()))] =
+          static_cast<char>(rng.UniformInt(256));
+    }
+    ExpectSafeLoad(path, bytes, "flip case " + std::to_string(i));
+  }
+
+  // Overwrite every u64/i64 size field of the file (the record count, and
+  // per record the name length, ndim, each dim and the float count) with
+  // off-by-one and hostile values. Every absolute value is either tiny or
+  // far past any length a loader could accept, so no loader can be tricked
+  // into a big allocation by this loop.
+  const std::vector<size_t> fields = SizeFieldOffsets(good);
+  ASSERT_EQ(fields.size(), 1u + 4 * 5u);  // count + 4 records of 2-D params
+  for (const size_t at : fields) {
+    uint64_t was;
+    std::memcpy(&was, good.data() + at, sizeof(was));
+    for (const uint64_t v : {was - 1, was + 1, uint64_t{0}, uint64_t{1},
+                             uint64_t{255}, uint64_t{good.size()},
+                             uint64_t{1} << 40, uint64_t{1} << 62,
+                             std::numeric_limits<uint64_t>::max()}) {
+      std::string bytes = good;
+      std::memcpy(bytes.data() + at, &v, sizeof(v));
+      ExpectSafeLoad(path, bytes,
+                     "offset " + std::to_string(at) + " := " +
+                         std::to_string(v));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFuzzTest, RejectsRecordShorterThanItsShape) {
+  const std::string path = FuzzPath("causaltad_ckpt_short");
+  WriteOneRecord(path, "emb.table", {100, 8}, /*dtype=*/0,
+                 [](util::BinaryWriter* w) {
+                   w->WriteFloats(std::vector<float>(10, 0.5f));
+                 });
+  util::Rng rng(72);
+  Embedding emb("emb", 100, 8, &rng);
+  EXPECT_FALSE(LoadCheckpoint(path, &emb).ok());
+  EXPECT_TRUE(BuffersMatchShapes(emb));
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFuzzTest, RejectsHugeRank) {
+  const std::string path = FuzzPath("causaltad_ckpt_rank");
+  {
+    util::BinaryWriter writer(path, kCkptMagic, /*version=*/2);
+    writer.WriteU64(1);
+    writer.WriteString("emb.table");
+    writer.WriteU64(1ULL << 62);  // ndim
+    writer.WriteI64(4);
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  util::Rng rng(73);
+  Embedding emb("emb", 4, 4, &rng);
+  EXPECT_FALSE(LoadCheckpoint(path, &emb).ok());
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFuzzTest, RejectsLengthsPastTheEndOfTheFile) {
+  const std::string path = FuzzPath("causaltad_ckpt_len");
+  util::Rng rng(74);
+  Embedding emb("emb", 4, 4, &rng);
+  // A float count far past the bytes left.
+  WriteOneRecord(path, "emb.table", {4, 4}, /*dtype=*/0,
+                 [](util::BinaryWriter* w) { w->WriteU64(1ULL << 20); });
+  EXPECT_FALSE(LoadCheckpoint(path, &emb).ok());
+  // A name length past the bytes left.
+  {
+    util::BinaryWriter writer(path, kCkptMagic, /*version=*/2);
+    writer.WriteU64(1);
+    writer.WriteU64(1ULL << 20);
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  EXPECT_FALSE(LoadCheckpoint(path, &emb).ok());
+  // The reader itself: a length one element past the end fails and reads
+  // nothing.
+  {
+    util::BinaryWriter writer(path, kCkptMagic, /*version=*/2);
+    writer.WriteU64(3);
+    writer.WriteF32(1.0f);
+    writer.WriteF32(2.0f);
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  util::BinaryReader reader(path, kCkptMagic, 2);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.ReadFloats().empty());
+  EXPECT_FALSE(reader.ok());
+  EXPECT_TRUE(BuffersMatchShapes(emb));
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFuzzTest, RejectsInt8DtypeRecords) {
+  const std::string path = FuzzPath("causaltad_ckpt_i8");
+  // The retired dtype-1 layout: int8 rows, then per-row f32 scales.
+  WriteOneRecord(path, "emb.table", {3, 2}, /*dtype=*/1,
+                 [](util::BinaryWriter* w) {
+                   w->WriteString(std::string(6, '\x01'));
+                   w->WriteFloats(std::vector<float>(3, 0.25f));
+                 });
+  util::Rng rng(75);
+  Embedding emb("emb", 3, 2, &rng);
+  const std::vector<float> before = emb.table().value().vec();
+  const util::Status status = LoadCheckpoint(path, &emb);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
+  EXPECT_EQ(emb.table().value().vec(), before);
+  std::remove(path.c_str());
 }
 
 }  // namespace
