@@ -26,6 +26,10 @@
 //     batched no-grad fast path (ScoreBatch(), [B, hidden] fused GRU rolls)
 //     — written to BENCH_fig7.json so later PRs have a perf trajectory.
 //
+// The "fig7_isa" section repeats the batched ScoreBatch timing and one
+// batched CausalTAD training epoch under every kernel table the host
+// supports (native first; its scores are the max_rel_diff reference).
+//
 // Environment knobs:
 //   CAUSALTAD_BENCH_SCALE=smoke|default|full   experiment scale
 //   CAUSALTAD_FIG7_SKIP_TRAIN_TABLE=1          skip part (a)
@@ -286,10 +290,14 @@ struct IsaRow {
   std::string isa;  // kernel table pinned for this row
   double batched_us = 0.0;
   double max_rel_diff = 0.0;  // scores vs the native fp32 reference row
+  double epoch_s = 0.0;       // one batched CausalTAD training epoch
 };
 
+// One row per kernel table the host supports, the native (best) table
+// first as the score reference: ScoreBatch latency on `trips` plus one
+// batched CausalTAD training epoch, both under the pinned table.
 std::vector<IsaRow> MeasureIsaRows(
-    const std::string& city, CausalTad* causal,
+    const CityExperimentConfig& config, Scale scale, CausalTad* causal,
     const std::vector<causaltad::traj::Trip>& trips) {
   namespace kernels = causaltad::nn::kernels;
   const kernels::Isa native = kernels::ActiveIsa();
@@ -300,7 +308,7 @@ std::vector<IsaRow> MeasureIsaRows(
     causal->RebuildServingCache();
     std::vector<double> scores;
     IsaRow row;
-    row.city = city;
+    row.city = config.name;
     row.isa = kernels::IsaName(isa);
     row.batched_us =
         BestOf(5, [&] { scores = causal->ScoreBatch(trips, {}); }) * 1e6 /
@@ -314,10 +322,14 @@ std::vector<IsaRow> MeasureIsaRows(
                                   std::max(1.0, std::abs(reference[i])));
       }
     }
+    row.epoch_s = MeasureTraining(config, "CausalTAD", scale).epoch_s;
     rows.push_back(row);
   };
   emit(native);  // reference: best ISA
-  if (native != kernels::Isa::kBaseline) emit(kernels::Isa::kBaseline);
+  for (kernels::Isa isa : {kernels::Isa::kAvx512, kernels::Isa::kAvx2,
+                           kernels::Isa::kBaseline}) {
+    if (isa != native && kernels::Supported(isa)) emit(isa);
+  }
   // Restore the native serving configuration.
   kernels::SetIsa(native);
   causal->RebuildServingCache();
@@ -383,9 +395,9 @@ void WriteJson(const std::string& path, Scale scale,
     std::fprintf(f,
                  "    {\"city\": \"%s\", \"method\": \"CausalTAD\", "
                  "\"isa\": \"%s\", \"batched_us\": %.2f, "
-                 "\"max_rel_diff\": %.3g}%s\n",
+                 "\"max_rel_diff\": %.3g, \"epoch_s\": %.3f}%s\n",
                  r.city.c_str(), r.isa.c_str(), r.batched_us, r.max_rel_diff,
-                 i + 1 < isa_rows.size() ? "," : "");
+                 r.epoch_s, i + 1 < isa_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -478,10 +490,10 @@ int main(int argc, char** argv) {
       bucket_rows.push_back(
           MeasureBucketing(city.name, name, scorer, bucket_trips));
     }
-    // Kernel-substrate A/B: baseline vs best-ISA dispatch, on the same
+    // Kernel-substrate A/B: every supported table, on the same
     // mixed-length batch.
     for (IsaRow& row : MeasureIsaRows(
-             city.name, dynamic_cast<CausalTad*>(causal.get()),
+             city, scale, dynamic_cast<CausalTad*>(causal.get()),
              bucket_trips)) {
       isa_rows.push_back(std::move(row));
     }
@@ -501,11 +513,13 @@ int main(int argc, char** argv) {
                            TablePrinter::Fmt(r.speedup, 2) + "x"});
   }
   std::printf("\n== Kernel substrate: ISA dispatch (full routes) ==\n\n");
-  TablePrinter isa_table({"City", "ISA", "batched us", "max rel diff"});
+  TablePrinter isa_table(
+      {"City", "ISA", "batched us", "max rel diff", "epoch s"});
   isa_table.PrintHeader();
   for (const IsaRow& r : isa_rows) {
     isa_table.PrintRow({r.city, r.isa, TablePrinter::Fmt(r.batched_us, 1),
-                        TablePrinter::Fmt(r.max_rel_diff, 6)});
+                        TablePrinter::Fmt(r.max_rel_diff, 6),
+                        TablePrinter::Fmt(r.epoch_s, 3)});
   }
   std::printf("\n");
   const char* json_env = std::getenv("CAUSALTAD_BENCH_JSON");

@@ -21,13 +21,32 @@ namespace kernels {
 // a warning.  SetIsa()/Get() are the programmatic hooks benches and parity
 // tests use to pin a backend mid-process.
 //
-// Determinism: for a fixed table, every kernel is bit-deterministic and
-// independent of batch composition (per-row arithmetic never reads other
-// rows). Across tables, baseline differs from avx2/avx512 by FMA contraction
-// and avx512 additionally by its 16-lane reduction order — parity tests use
-// a 1e-6 relative tolerance across tables (1e-5 on cancellation-heavy raw
-// accumulations, where the error is relative to the partial products rather
-// than the sum) and exact equality within one.
+// Determinism: for a fixed table, every kernel is bit-deterministic. The
+// row-wise kernels (dot, softmax/NLL, KL, GRU gates and blend, gather, the
+// vector transcendentals) never read other rows, so a row's bits do not
+// depend on the batch around it. The two GEMM kernels are not batch-
+// independent: each output element keeps one of three associations,
+// chosen by its position and the call's shape (see matmul_packed below),
+// so a row can round differently alone than inside a bigger batch. With
+// "the table's multiply-add" meaning fused (one rounding) on avx2/avx512
+// and product-then-sum (two roundings) on baseline, and kLanes = 8
+// (16 on avx512):
+//   tree   kLanes lane partials, lane l taking the products at l, l+kLanes,
+//          ... over the full kLanes blocks with the table's multiply-add;
+//          lanes reduced pairwise, adjacent pairs first; then the
+//          remaining products added in order with the table's
+//          multiply-add (this is `dot`).
+//   tile   the same lane partials, summed in lane order starting from +0;
+//          then the remaining products rounded before each add, on every
+//          table.
+//   stream out (or 0 when not accumulating), then every product in k order
+//          with the table's multiply-add, skipping zero a-entries.
+// kernels_test restates these per table and pins them bit for bit.
+// Across tables, baseline differs from avx2/avx512 by FMA contraction and
+// avx512 additionally by its 16 lanes — parity tests use a 1e-6 relative
+// tolerance across tables (1e-5 on cancellation-heavy raw accumulations,
+// where the error is relative to the partial products rather than the
+// sum) and exact equality within one.
 // ---------------------------------------------------------------------------
 
 enum class Isa { kBaseline = 0, kAvx2 = 1, kAvx512 = 2 };
@@ -44,15 +63,22 @@ struct Kernels {
   /// Packs src [r,c] (row-major) transposed into dst [c,r].
   void (*pack_transpose)(const float* src, int64_t r, int64_t c, float* dst);
 
-  /// out[m,n] = a[m,k] @ b[k,n] (+= when `accumulate`). Packs b transposed
-  /// into thread-local arena scratch unless `b_pretransposed` (b already
-  /// [n,k] row-major, e.g. every dX = dY·Wᵀ backward term).
+  /// out[m,n] = a[m,k] @ b[k,n] (+= when `accumulate`, which adds the
+  /// finished dot to out). `b_pretransposed` means b is stored [n,k]
+  /// row-major (e.g. every dX = dY·Wᵀ backward term). Unless the rows
+  /// stream (below), b is read as row-major [k,n] with aligned SIMD loads:
+  /// in place when it allows them, else from a 64-byte-aligned copy in
+  /// thread-local arena scratch. Associations (see above):
+  /// with m < 4 and b not pretransposed, every element streams. Otherwise rows
+  /// 2i, 2i+1 take the tile association on columns below n - n % 4 and
+  /// the tree on the rest, and an odd last row takes the tree throughout.
   void (*matmul_packed)(const float* a, const float* b, float* out, int64_t m,
                         int64_t k, int64_t n, bool accumulate,
                         bool b_pretransposed);
 
   /// Grad-accumulate helper: out[k,n] += a[m,k]ᵀ @ g[m,n] — the dW = Xᵀ·dY
-  /// half of every affine/GRU backward.
+  /// half of every affine/GRU backward. Each element adds a tree dot over
+  /// the m rows. g is read with aligned loads, like matmul_packed's b.
   void (*add_matmul_transposed_a)(const float* a, const float* g, float* out,
                                   int64_t m, int64_t k, int64_t n);
 

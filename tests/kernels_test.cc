@@ -1,12 +1,16 @@
 // Kernel-substrate tests: every SIMD backend the host supports must
 // reproduce the baseline table within 1e-6 relative (FMA contraction and
-// the AVX-512 16-lane reduction are the only permitted differences), and
-// checkpoints must round-trip f32 exactly (plus v1 compatibility).
+// the AVX-512 16-lane reduction are the only permitted differences), the
+// GEMM kernels must keep each table's per-element rounding bit for bit
+// over an edge-shape sweep, and checkpoints must round-trip f32 exactly
+// (plus v1 compatibility).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -166,6 +170,342 @@ TEST(KernelIsaParityTest, FingerprintIsDeterministicWithinOneTable) {
   const std::vector<float> b = KernelFingerprint(kern);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+}
+
+// ---------------------------------------------------------------------------
+// GEMM edge-shape sweep: matmul_packed (every accumulate x b_pretransposed
+// combination) and add_matmul_transposed_a on every supported table, over
+// shapes that hit each path — the m < 4 stream, the 2-row x 4-column tile,
+// the odd last row, the n % 4 columns and every lane/k tail.
+// ---------------------------------------------------------------------------
+
+const std::vector<Isa>& SupportedIsas() {
+  static const std::vector<Isa> isas = [] {
+    std::vector<Isa> out;
+    for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+      if (Supported(isa)) out.push_back(isa);
+    }
+    return out;
+  }();
+  return isas;
+}
+
+constexpr int64_t kSweepM[] = {1, 2, 3, 4, 5, 15, 16, 17, 33};
+constexpr int64_t kSweepK[] = {1, 7, 8, 16, 33, 48, 610};
+constexpr int64_t kSweepN[] = {1, 3, 4, 5, 7, 9, 17, 48, 144};
+
+/// Gaussian entries scaled by `scale`, with every seventh one an exact zero
+/// (the m < 4 stream skips zero a-entries) and every 77th a -0, so signed
+/// zeros pass through each path.
+std::vector<float> SweepInput(int64_t n, uint64_t seed, float scale) {
+  std::vector<float> v = RandomVec(n, seed, scale);
+  for (int64_t i = 0; i < n; i += 7) v[i] = (i % 11 == 0) ? -0.0f : 0.0f;
+  return v;
+}
+
+/// Scalar restatement of one table's per-element GEMM association. `lanes`
+/// is the table's accumulator lane count; `fused` says whether its lane and
+/// dot-tail multiply-adds round once (std::fma) or twice. This test TU is
+/// built with the portable flags, which emit no FMA instructions, so every
+/// `a * b + c` written here rounds the product before the add.
+struct GemmAssociation {
+  int lanes;
+  bool fused;
+
+  float MulAdd(float a, float b, float c) const {
+    return fused ? std::fma(a, b, c) : a * b + c;
+  }
+
+  /// Lane partials of a length-len dot of x and y (strides xs, ys): lane l
+  /// accumulates the products at l, l + lanes, ... over the full lane blocks.
+  std::vector<float> Lanes(const float* x, int64_t xs, const float* y,
+                           int64_t ys, int64_t len, int64_t* tail) const {
+    std::vector<float> acc(lanes, 0.0f);
+    int64_t i = 0;
+    for (; i + lanes <= len; i += lanes) {
+      for (int l = 0; l < lanes; ++l) {
+        acc[l] = MulAdd(x[(i + l) * xs], y[(i + l) * ys], acc[l]);
+      }
+    }
+    *tail = i;
+    return acc;
+  }
+
+  /// DotUnrolled: lanes reduced pairwise (adjacent pairs first), then the
+  /// k-tail with the table's multiply-add.
+  float TreeDot(const float* x, int64_t xs, const float* y, int64_t ys,
+                int64_t len) const {
+    int64_t i = 0;
+    std::vector<float> acc = Lanes(x, xs, y, ys, len, &i);
+    for (int s = 1; s < lanes; s *= 2) {
+      for (int l = 0; l + s < lanes; l += 2 * s) acc[l] += acc[l + s];
+    }
+    float sum = acc[0];
+    for (; i < len; ++i) sum = MulAdd(x[i * xs], y[i * ys], sum);
+    return sum;
+  }
+
+  /// Register-tile element: lanes summed in order from +0, then a k-tail
+  /// whose products are rounded before the add on every table.
+  float TileDot(const float* x, int64_t xs, const float* y, int64_t ys,
+                int64_t len) const {
+    int64_t i = 0;
+    const std::vector<float> acc = Lanes(x, xs, y, ys, len, &i);
+    float sum = 0.0f;
+    for (int l = 0; l < lanes; ++l) sum += acc[l];
+    for (; i < len; ++i) sum += x[i * xs] * y[i * ys];
+    return sum;
+  }
+
+  /// matmul_packed on a row-major b[k,n]; `stream` selects the m < 4
+  /// non-pretransposed path.
+  void MatMul(const float* a, const float* b, float* out, int64_t m,
+              int64_t k, int64_t n, bool accumulate, bool stream) const {
+    const auto emit = [accumulate](float* slot, float dot) {
+      *slot = accumulate ? *slot + dot : dot;
+    };
+    for (int64_t i = 0; i < m; ++i) {
+      const float* arow = a + i * k;
+      for (int64_t j = 0; j < n; ++j) {
+        float* slot = out + i * n + j;
+        if (stream) {
+          float acc = accumulate ? *slot : 0.0f;
+          for (int64_t p = 0; p < k; ++p) {
+            if (arow[p] != 0.0f) acc = MulAdd(arow[p], b[p * n + j], acc);
+          }
+          *slot = acc;
+        } else if (i < (m & ~int64_t{1}) && j < (n & ~int64_t{3})) {
+          emit(slot, TileDot(arow, 1, b + j, n, k));
+        } else {
+          emit(slot, TreeDot(arow, 1, b + j, n, k));
+        }
+      }
+    }
+  }
+
+  /// add_matmul_transposed_a: out[p,j] += tree dot of a[:,p] and g[:,j].
+  void AddMatMulTransposedA(const float* a, const float* g, float* out,
+                            int64_t m, int64_t k, int64_t n) const {
+    for (int64_t p = 0; p < k; ++p) {
+      for (int64_t j = 0; j < n; ++j) {
+        out[p * n + j] += TreeDot(a + p, k, g + j, n, m);
+      }
+    }
+  }
+};
+
+GemmAssociation AssociationOf(Isa isa) {
+  return {isa == Isa::kAvx512 ? 16 : 8, isa != Isa::kBaseline};
+}
+
+std::vector<float> Transposed(const std::vector<float>& src, int64_t r,
+                              int64_t c) {
+  std::vector<float> dst(src.size());
+  for (int64_t i = 0; i < r; ++i) {
+    for (int64_t j = 0; j < c; ++j) dst[j * r + i] = src[i * c + j];
+  }
+  return dst;
+}
+
+/// Bit patterns, so -0 vs +0 and any NaN payload count as differences.
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  int reported = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<uint32_t>(got[i]) == std::bit_cast<uint32_t>(want[i])) {
+      continue;
+    }
+    ADD_FAILURE() << what << " [" << i << "]: " << got[i] << " vs "
+                  << want[i];
+    if (++reported == 3) return;
+  }
+}
+
+/// One kernel call of the sweep: shapes, flags and the operands as the
+/// reference functions read them (b row-major [k,n], the initial out).
+struct GemmCase {
+  int64_t m, k, n;
+  bool accumulate;
+  bool stream;  // matmul_packed's m < 4, non-pretransposed path
+  const std::vector<float>* a;
+  const std::vector<float>* b;
+  const std::vector<float>* out0;
+};
+
+/// Runs matmul_packed (both flags) and add_matmul_transposed_a on every
+/// supported table over the sweep and hands each output to `check_mm` /
+/// `check_tn`. Stops at the first shape with a failure, so one broken path
+/// does not flood the log.
+template <typename CheckMatMul, typename CheckTransposedA>
+void SweepGemm(CheckMatMul check_mm, CheckTransposedA check_tn) {
+  for (int64_t m : kSweepM) {
+    for (int64_t k : kSweepK) {
+      for (int64_t n : kSweepN) {
+        const std::string shape = std::to_string(m) + "x" +
+                                  std::to_string(k) + "x" + std::to_string(n);
+        // a scaled by 1/sqrt(reduction length) keeps every partial sum O(1).
+        const std::vector<float> a =
+            SweepInput(m * k, 201 + m, 1.0f / std::sqrt(static_cast<float>(k)));
+        const std::vector<float> b = SweepInput(k * n, 301 + n, 1.0f);
+        const std::vector<float> bt = Transposed(b, k, n);
+        const std::vector<float> out0 = RandomVec(m * n, 401 + k);
+        const std::vector<float> at = SweepInput(
+            m * k, 501 + k, 1.0f / std::sqrt(static_cast<float>(m)));
+        const std::vector<float> g = SweepInput(m * n, 601 + n, 1.0f);
+        const std::vector<float> dw0 = RandomVec(k * n, 701 + m);
+        for (Isa isa : SupportedIsas()) {
+          const Kernels& kern = Get(isa);
+          const std::string table = nn::kernels::IsaName(isa);
+          for (bool accumulate : {false, true}) {
+            for (bool pretransposed : {false, true}) {
+              std::vector<float> got = out0;
+              kern.matmul_packed(a.data(),
+                                 pretransposed ? bt.data() : b.data(),
+                                 got.data(), m, k, n, accumulate,
+                                 pretransposed);
+              const GemmCase c{m, k, n, accumulate, m < 4 && !pretransposed,
+                               &a, &b, &out0};
+              check_mm(isa, c, got,
+                       table + " matmul_packed " + shape +
+                           (accumulate ? " accumulate" : "") +
+                           (pretransposed ? " pretransposed" : ""));
+            }
+          }
+          std::vector<float> dw = dw0;
+          kern.add_matmul_transposed_a(at.data(), g.data(), dw.data(), m, k,
+                                       n);
+          const GemmCase c{m, k, n, true, false, &at, &g, &dw0};
+          check_tn(isa, c, dw, table + " add_matmul_transposed_a " + shape);
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(GemmSweepTest, MatchesDoubleReference) {
+  SweepGemm(
+      [](Isa, const GemmCase& c, const std::vector<float>& got,
+         const std::string& what) {
+        std::vector<float> want(c.m * c.n);
+        for (int64_t i = 0; i < c.m; ++i) {
+          for (int64_t j = 0; j < c.n; ++j) {
+            double acc = c.accumulate ? (*c.out0)[i * c.n + j] : 0.0;
+            for (int64_t p = 0; p < c.k; ++p) {
+              acc += static_cast<double>((*c.a)[i * c.k + p]) *
+                     (*c.b)[p * c.n + j];
+            }
+            want[i * c.n + j] = static_cast<float>(acc);
+          }
+        }
+        ExpectClose(got, want, 1e-5, what);
+      },
+      [](Isa, const GemmCase& c, const std::vector<float>& got,
+         const std::string& what) {
+        std::vector<float> want(c.k * c.n);
+        for (int64_t p = 0; p < c.k; ++p) {
+          for (int64_t j = 0; j < c.n; ++j) {
+            double acc = (*c.out0)[p * c.n + j];
+            for (int64_t i = 0; i < c.m; ++i) {
+              acc += static_cast<double>((*c.a)[i * c.k + p]) *
+                     (*c.b)[i * c.n + j];
+            }
+            want[p * c.n + j] = static_cast<float>(acc);
+          }
+        }
+        ExpectClose(got, want, 1e-5, what);
+      });
+}
+
+// Pins each table's rounding: every output element must equal the scalar
+// restatement of its association bit for bit, so a compiler or kernel
+// change that moves a single training bit fails here rather than in a
+// drifted AUC.
+TEST(GemmSweepTest, MatchesPerTableAssociationBitForBit) {
+  SweepGemm(
+      [](Isa isa, const GemmCase& c, const std::vector<float>& got,
+         const std::string& what) {
+        std::vector<float> want = *c.out0;
+        AssociationOf(isa).MatMul(c.a->data(), c.b->data(), want.data(), c.m,
+                                  c.k, c.n, c.accumulate, c.stream);
+        ExpectSameBits(got, want, what);
+      },
+      [](Isa isa, const GemmCase& c, const std::vector<float>& got,
+         const std::string& what) {
+        std::vector<float> want = *c.out0;
+        AssociationOf(isa).AddMatMulTransposedA(c.a->data(), c.b->data(),
+                                                want.data(), c.m, c.k, c.n);
+        ExpectSameBits(got, want, what);
+      });
+}
+
+// The right-hand operand is read in place when its loads are aligned and
+// from an aligned copy otherwise; both must give the restatement's bits.
+// Offsets 0..15 floats from a 64-byte line reach both paths on every table.
+TEST(GemmSweepTest, OperandAlignmentDoesNotChangeBits) {
+  constexpr int64_t kLine = 16;
+  for (int64_t m : {4, 5, 33}) {
+    for (int64_t k : {16, 48}) {
+      for (int64_t n : {7, 48, 144}) {
+        const std::string shape = std::to_string(m) + "x" +
+                                  std::to_string(k) + "x" + std::to_string(n);
+        const std::vector<float> a = SweepInput(m * k, 211 + m, 0.25f);
+        const std::vector<float> b = SweepInput(k * n, 311 + n, 1.0f);
+        const std::vector<float> at = SweepInput(m * k, 511 + k, 0.25f);
+        const std::vector<float> g = SweepInput(m * n, 611 + n, 1.0f);
+        const std::vector<float> out0 = RandomVec(m * n, 411 + k);
+        const std::vector<float> dw0 = RandomVec(k * n, 711 + m);
+        std::vector<float> storage(std::max(k, m) * n + 2 * kLine);
+        // Floats past the previous 64-byte line, then the first line start.
+        const auto skew = static_cast<int64_t>(
+            reinterpret_cast<std::uintptr_t>(storage.data()) / 4 % kLine);
+        float* base = storage.data() + (kLine - skew) % kLine;
+        for (Isa isa : SupportedIsas()) {
+          const Kernels& kern = Get(isa);
+          for (int64_t offset = 0; offset < kLine; ++offset) {
+            const std::string what = std::string(nn::kernels::IsaName(isa)) +
+                                     " " + shape + " offset " +
+                                     std::to_string(offset);
+            float* placed = base + offset;
+            std::copy(b.begin(), b.end(), placed);
+            for (bool accumulate : {false, true}) {
+              std::vector<float> got = out0;
+              kern.matmul_packed(a.data(), placed, got.data(), m, k, n,
+                                 accumulate, /*b_pretransposed=*/false);
+              std::vector<float> want = out0;
+              AssociationOf(isa).MatMul(a.data(), b.data(), want.data(), m, k,
+                                        n, accumulate, /*stream=*/false);
+              ExpectSameBits(got, want, what + " matmul_packed");
+            }
+            std::copy(g.begin(), g.end(), placed);
+            std::vector<float> got = dw0;
+            kern.add_matmul_transposed_a(at.data(), placed, got.data(), m, k,
+                                         n);
+            std::vector<float> want = dw0;
+            AssociationOf(isa).AddMatMulTransposedA(at.data(), g.data(),
+                                                    want.data(), m, k, n);
+            ExpectSameBits(got, want, what + " add_matmul_transposed_a");
+          }
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(GemmSweepTest, DotMatchesTreeAssociationBitForBit) {
+  for (int64_t len : kSweepK) {
+    const std::vector<float> x = SweepInput(len, 801 + len, 1.0f);
+    const std::vector<float> y = SweepInput(len, 901 + len, 1.0f);
+    for (Isa isa : SupportedIsas()) {
+      const float got = Get(isa).dot(x.data(), y.data(), len);
+      const float want =
+          AssociationOf(isa).TreeDot(x.data(), 1, y.data(), 1, len);
+      EXPECT_EQ(std::bit_cast<uint32_t>(got), std::bit_cast<uint32_t>(want))
+          << nn::kernels::IsaName(isa) << " dot " << len;
+    }
+  }
 }
 
 TEST(KernelIsaTest, SetIsaPinsActiveTable) {
