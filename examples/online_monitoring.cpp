@@ -148,6 +148,7 @@ int main() {
   // what a non-C++ gateway would do over TCP. Every push is trace-sampled
   // so the exit dump has complete chains to show.
   std::string fleet_exposition;
+  bool client_failed = false;  // any client step (Hello .. ScrapeStats)
   std::thread client_thread([&] {
     net::ClientOptions client_options;
     client_options.tenant = "fleet-demo";
@@ -160,6 +161,7 @@ int main() {
     if (!client->Hello().ok()) {
       std::printf("client auth failed: %s\n",
                   client->status().ToString().c_str());
+      client_failed = true;
       return;
     }
 
@@ -194,6 +196,7 @@ int main() {
           if (!client->Push(feed.id, segments[feed.fed]).ok()) {
             std::printf("push failed: %s\n",
                         client->status().ToString().c_str());
+            client_failed = true;
             return;
           }
           ++feed.fed;
@@ -201,6 +204,7 @@ int main() {
         const auto polled = client->Poll(feed.id);
         if (!polled.ok()) {
           std::printf("poll failed: %s\n", polled.status().ToString().c_str());
+          client_failed = true;
           return;
         }
         for (const double score : *polled) {
@@ -226,6 +230,7 @@ int main() {
       if (!finished.ok()) {
         std::printf("finish failed: %s\n",
                     finished.status().ToString().c_str());
+        client_failed = true;
       }
     }
     const net::ClientStats& cstats = client->stats();
@@ -245,6 +250,7 @@ int main() {
     if (!client->ScrapeStats(&fleet_exposition).ok()) {
       std::printf("fleet scrape failed: %s\n",
                   client->status().ToString().c_str());
+      client_failed = true;
     }
   });
   client_thread.join();
@@ -273,5 +279,5 @@ int main() {
   std::printf("\nSame O(1)-per-point scores as the in-process service — the "
               "wire adds auth, quotas, tracing, and a fleet-wide metrics "
               "plane any producer can scrape.\n");
-  return 0;
+  return client_failed ? 1 : 0;
 }

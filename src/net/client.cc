@@ -1,11 +1,7 @@
 #include "net/client.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -29,34 +25,6 @@ uint64_t Mix(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// Raw TCP connect, shared by ConnectTcp and the default redialer.
-int DialTcp(const std::string& host, int port, std::string* error) {
-  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    if (error) *error = "socket failed: " + std::string(std::strerror(errno));
-    return -1;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    if (error) *error = "bad host " + host;
-    return -1;
-  }
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error) {
-      *error = "connect to " + host + ":" + std::to_string(port) +
-               " failed: " + std::strerror(errno);
-    }
-    close(fd);
-    return -1;
-  }
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
 }
 
 /// While a barrier waits, its request is re-sent at this interval — a

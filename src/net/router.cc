@@ -1,20 +1,11 @@
 #include "net/router.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "net/socket_io.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace causaltad {
@@ -31,51 +22,13 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void SetNoDelay(int fd) {
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-// Mirrors the server's delta chunking: 64 KiB of scores per frame, far
-// under the 1 MiB cap.
-constexpr size_t kMaxScoresPerDelta = 8192;
-
 double NowMs() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-int DialTcpFd(const std::string& host, int port) {
-  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return -1;
-  }
-  SetNoDelay(fd);
-  return fd;
-}
-
 }  // namespace
-
-// Downstream connection state, owned by its handler thread.
-struct Router::DsConn {
-  int fd = -1;
-  uint64_t id = 0;
-  FrameDecoder decoder;
-  bool hello_done = false;
-  std::string tenant;
-  // Home backend -> upstream leg. std::map keeps Leg addresses stable for
-  // the dialer closures (unique_ptr would too; the map is tiny either way).
-  std::map<int, std::unique_ptr<Leg>> legs;
-  std::unordered_map<uint64_t, DsSession> sessions;
-  double last_tick_ms = 0.0;
-};
 
 Router::Leg::~Leg() {
   if (router != nullptr && current >= 0) {
@@ -123,6 +76,14 @@ Router::Router(std::vector<RouterBackend> backends, RouterOptions options)
     }
   }
   std::sort(ring_.begin(), ring_.end());
+  legs_.resize(static_cast<size_t>(n));
+  ServerOptions server_options;
+  server_options.listen_port = options_.listen_port;
+  server_options.listen_host = options_.listen_host;
+  server_options.tenant_tokens = options_.tenant_tokens;
+  server_options.registry = &server_registry_;
+  server_ = std::make_unique<Server>(static_cast<serve::SessionBackend*>(this),
+                                     std::move(server_options));
 }
 
 Router::~Router() { Stop(); }
@@ -130,39 +91,9 @@ Router::~Router() { Stop(); }
 util::Status Router::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (started_) return util::Status::FailedPrecondition("already started");
-  if (options_.listen_port >= 0) {
-    listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-    if (listen_fd_ < 0) {
-      return util::Status::IoError("socket failed: " +
-                                   std::string(std::strerror(errno)));
-    }
-    int one = 1;
-    setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(options_.listen_port));
-    if (inet_pton(AF_INET, options_.listen_host.c_str(), &addr.sin_addr) !=
-        1) {
-      return util::Status::InvalidArgument("bad listen_host " +
-                                           options_.listen_host);
-    }
-    if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-            0 ||
-        listen(listen_fd_, 64) != 0) {
-      const std::string err = std::strerror(errno);
-      close(listen_fd_);
-      listen_fd_ = -1;
-      return util::Status::IoError("bind/listen failed: " + err);
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-    port_ = ntohs(bound.sin_port);
-  }
-  started_ = true;
   stop_.store(false, std::memory_order_release);
-  if (listen_fd_ >= 0) accept_thread_ = std::thread([this] { AcceptMain(); });
+  CAUSALTAD_RETURN_IF_ERROR(server_->Start());
+  started_ = true;
   if (options_.health_interval_ms > 0) {
     health_thread_ = std::thread([this] { HealthMain(); });
   }
@@ -175,57 +106,16 @@ void Router::Stop() {
     if (!started_) return;
     started_ = false;
   }
+  // Set before the server stops: leg redials fail fast, and the sessions
+  // the server ends on its way down are left to the backends' linger.
   stop_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  server_->Stop();
   if (health_thread_.joinable()) health_thread_.join();
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  {
-    // Kick every handler out of its downstream poll; handlers own the
-    // close, Stop only shuts the transport down.
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    for (int fd : live_ds_fds_) shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    threads.swap(handler_threads_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
-}
-
-int Router::AddLoopbackConnection() {
-  int fds[2] = {-1, -1};
-  if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
-    return -1;
-  }
-  SpawnHandler(fds[0]);
-  return fds[1];
-}
-
-void Router::SpawnHandler(int fd) {
-  const uint64_t id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-  connections_accepted_.Inc();
-  connections_active_.Add(1);
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  live_ds_fds_.insert(fd);
-  handler_threads_.emplace_back([this, fd, id] { HandlerMain(fd, id); });
-}
-
-void Router::AcceptMain() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = poll(&pfd, 1, 50);
-    if (rc <= 0) continue;
-    const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    SetNoDelay(fd);
-    SpawnHandler(fd);
-  }
+  // The event loop has exited: close every upstream leg. The backends park
+  // their resumable sessions until the linger expires.
+  sessions_.clear();
+  sessions_live_.store(0, std::memory_order_relaxed);
+  legs_.assign(legs_.size(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,11 +127,13 @@ bool Router::Eligible(int backend) const {
 }
 
 bool Router::BackendAlive(int backend) const {
-  return !dead_[backend].load(std::memory_order_acquire);
+  return backend >= 0 && backend < num_backends() &&
+         !dead_[backend].load(std::memory_order_acquire);
 }
 
 bool Router::BackendDraining(int backend) const {
-  return draining_[backend].load(std::memory_order_acquire);
+  return backend >= 0 && backend < num_backends() &&
+         draining_[backend].load(std::memory_order_acquire);
 }
 
 void Router::MarkDead(int backend, bool dead) {
@@ -269,7 +161,7 @@ int Router::DialBackendFd(int backend) {
   const RouterBackend& b = backends_[backend];
   if (b.dialer) return b.dialer();
   if (b.port < 0) return -1;
-  return DialTcpFd(b.host, b.port);
+  return DialTcp(b.host, b.port, nullptr);
 }
 
 int Router::DialUpstream(Leg* leg) {
@@ -295,34 +187,59 @@ int Router::DialUpstream(Leg* leg) {
   return -1;
 }
 
-Router::Leg* Router::LegForBackend(DsConn* conn, int home,
-                                   util::Status* error) {
-  auto it = conn->legs.find(home);
-  if (it != conn->legs.end()) return it->second.get();
-  auto leg = std::make_unique<Leg>();
+std::shared_ptr<Router::Leg> Router::LegFor(int home) {
+  std::shared_ptr<Leg>* slot = &legs_[static_cast<size_t>(home)];
+  if (*slot != nullptr) {
+    if ((*slot)->client->status().ok()) return *slot;
+    RetireLeg(slot);
+  }
+  auto leg = std::make_shared<Leg>();
   Leg* raw = leg.get();
   raw->router = this;
   raw->home = home;
   raw->last_heartbeat_ms = NowMs();
   const int fd = DialUpstream(raw);
-  if (fd < 0) {
-    *error = util::Status::IoError("no live backend for session");
-    return nullptr;
-  }
+  if (fd < 0) return nullptr;
   ClientOptions copts = options_.upstream;
   copts.reconnect = true;
   copts.fault = options_.upstream_fault;
   copts.dialer = [this, raw] { return DialUpstream(raw); };
-  copts.client_id = Mix(conn->id * 1000003ull + static_cast<uint64_t>(home) + 1);
-  if (copts.client_id == 0) copts.client_id = 1;
+  // Unique per leg ever opened: a replacement leg's resume keys must never
+  // match sessions a failed one left parked on a backend. Mixed twice: the
+  // client derives resume keys from client_id ^ Mix(session + 1), so ids of
+  // the form Mix(k) would collide across legs (Mix(1) ^ Mix(2) both ways).
+  copts.client_id = Mix(Mix(++legs_opened_));
   raw->client = Client::FromFd(fd, std::move(copts));
-  const util::Status hello = raw->client->Hello();
-  if (!hello.ok()) {
-    *error = hello;
-    return nullptr;  // leg destructor releases the legs_on_ count
+  if (!raw->client->Hello().ok()) return nullptr;
+  *slot = std::move(leg);
+  return *slot;
+}
+
+void Router::RetireLeg(std::shared_ptr<Leg>* slot) {
+  Leg* leg = slot->get();
+  if (leg->current >= 0) {
+    legs_on_[leg->current].fetch_sub(1, std::memory_order_acq_rel);
+    leg->current = -1;
   }
-  conn->legs.emplace(home, std::move(leg));
-  return raw;
+  slot->reset();
+}
+
+void Router::FoldLegStats(Leg* leg) {
+  const ClientStats& s = leg->client->stats();
+  upstream_reconnects_.Inc(s.reconnects - leg->reconnects_folded);
+  dup_scores_dropped_.Inc(s.dup_scores - leg->dups_folded);
+  leg->reconnects_folded = s.reconnects;
+  leg->dups_folded = s.dup_scores;
+}
+
+ClientOptions Router::AdminClientOptions(double timeout_ms) const {
+  const bool own = !options_.admin_tenant.empty();
+  ClientOptions admin;
+  admin.tenant = own ? options_.admin_tenant : options_.upstream.tenant;
+  admin.auth_token = own ? options_.admin_token : options_.upstream.auth_token;
+  admin.reconnect = false;
+  admin.timeout_ms = timeout_ms;
+  return admin;
 }
 
 void Router::HealthMain() {
@@ -346,15 +263,8 @@ void Router::ProbeBackend(int backend) {
   bool ok = false;
   const int fd = DialBackendFd(backend);
   if (fd >= 0) {
-    ClientOptions popts;
-    popts.tenant = options_.admin_tenant.empty() ? options_.upstream.tenant
-                                                 : options_.admin_tenant;
-    popts.auth_token = options_.admin_tenant.empty()
-                           ? options_.upstream.auth_token
-                           : options_.admin_token;
-    popts.reconnect = false;
-    popts.timeout_ms = options_.health_timeout_ms;
-    auto probe = Client::FromFd(fd, std::move(popts));
+    auto probe =
+        Client::FromFd(fd, AdminClientOptions(options_.health_timeout_ms));
     ok = probe->Hello().ok() && probe->Heartbeat().ok();
   }
   if (ok) {
@@ -415,15 +325,8 @@ util::Status Router::RollSwap(const std::string& tag) {
       return util::Status::IoError("cannot reach backend " +
                                        std::to_string(i) + " for swap");
     }
-    ClientOptions aopts;
-    aopts.tenant = options_.admin_tenant.empty() ? options_.upstream.tenant
-                                                 : options_.admin_tenant;
-    aopts.auth_token = options_.admin_tenant.empty()
-                           ? options_.upstream.auth_token
-                           : options_.admin_token;
-    aopts.reconnect = false;
-    aopts.timeout_ms = options_.upstream.timeout_ms;
-    auto admin = Client::FromFd(fd, std::move(aopts));
+    auto admin =
+        Client::FromFd(fd, AdminClientOptions(options_.upstream.timeout_ms));
     CAUSALTAD_RETURN_IF_ERROR(admin->Hello());
 
     uint64_t result = 0;
@@ -496,7 +399,21 @@ std::string InjectBackendLabel(const std::string& text, int backend) {
 
 }  // namespace
 
+void Router::MirrorServerSeries() {
+  const ServerStats server = server_->stats();
+  std::lock_guard<std::mutex> lock(mirror_mu_);
+  connections_accepted_.Inc(server.connections_accepted -
+                            connections_accepted_.value());
+  connections_active_.Add(server.connections_active -
+                          connections_active_.value());
+  sessions_resumed_.Inc(server.sessions_resumed +
+                        server.sessions_resumed_fresh -
+                        sessions_resumed_.value());
+  auth_failures_.Inc(server.auth_failures - auth_failures_.value());
+}
+
 std::string Router::ScrapeFleet() {
+  MirrorServerSeries();
   std::string out = "# causaltad_metrics v1\n";
   for (int i = 0; i < num_backends(); ++i) {
     const int fd = DialBackendFd(i);
@@ -504,15 +421,8 @@ std::string Router::ScrapeFleet() {
       out += "# backend " + std::to_string(i) + ": unreachable\n";
       continue;
     }
-    ClientOptions sopts;
-    sopts.tenant = options_.admin_tenant.empty() ? options_.upstream.tenant
-                                                 : options_.admin_tenant;
-    sopts.auth_token = options_.admin_tenant.empty()
-                           ? options_.upstream.auth_token
-                           : options_.admin_token;
-    sopts.reconnect = false;
-    sopts.timeout_ms = options_.scrape_timeout_ms;
-    auto scraper = Client::FromFd(fd, std::move(sopts));
+    auto scraper =
+        Client::FromFd(fd, AdminClientOptions(options_.scrape_timeout_ms));
     std::string text;
     util::Status st = scraper->Hello();
     if (st.ok()) st = scraper->ScrapeStats(&text);
@@ -532,65 +442,160 @@ std::string Router::ScrapeFleet() {
 }
 
 // ---------------------------------------------------------------------------
-// Downstream handler
+// Fleet sessions (serve::SessionBackend, on the server's event loop)
 
-void Router::HandlerMain(int fd, uint64_t conn_id) {
-  DsConn conn;
-  conn.fd = fd;
-  conn.id = conn_id;
-  conn.last_tick_ms = NowMs();
-  std::vector<uint8_t> buf(64 * 1024);
-  bool open = true;
-  while (open && !stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{conn.fd, POLLIN, 0};
-    const int timeout =
-        std::max(1, static_cast<int>(options_.idle_tick_ms));
-    const int rc = poll(&pfd, 1, timeout);
-    if (rc > 0) {
-      const IoResult io =
-          RecvSome(conn.fd, buf.data(), buf.size(), nullptr);
-      if (io.error || io.peer_closed) break;
-      if (io.n > 0) {
-        conn.decoder.Feed(buf.data(), static_cast<size_t>(io.n));
-        Frame frame;
-        while (open && conn.decoder.Next(&frame)) {
-          open = DispatchFrame(&conn, frame);
-        }
-        if (open && !conn.decoder.status().ok()) {
-          SendError(&conn, ErrorCode::kProtocol,
-                    conn.decoder.status().message());
-          open = false;
-        }
-      }
+serve::SessionId Router::OpenSession(roadnet::SegmentId source,
+                                     roadnet::SegmentId destination,
+                                     int time_slot, int64_t emit_skip) {
+  const serve::SessionId id = next_session_++;
+  FleetSession& s = sessions_[id];
+  sessions_live_.fetch_add(1, std::memory_order_relaxed);
+  s.drop_scores = emit_skip;
+  const int home = PickBackend(Mix(static_cast<uint64_t>(id) + 0xa5a5ull));
+  if (home >= 0) s.leg = LegFor(home);
+  if (s.leg != nullptr) {
+    s.up_id = s.leg->client->Begin(source, destination, time_slot);
+  } else {
+    s.lost = true;  // no backend answers: the server refuses the Begin
+  }
+  return id;
+}
+
+void Router::Forget(std::unordered_map<serve::SessionId,
+                                       FleetSession>::iterator it) {
+  sessions_.erase(it);
+  sessions_live_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void Router::DropReplayed(FleetSession* s, std::vector<double>* scores) {
+  const int64_t drop =
+      std::min<int64_t>(s->drop_scores, static_cast<int64_t>(scores->size()));
+  scores->erase(scores->begin(), scores->begin() + drop);
+  s->drop_scores -= drop;
+}
+
+serve::SessionId Router::BeginSession(roadnet::SegmentId source,
+                                      roadnet::SegmentId destination,
+                                      int time_slot) {
+  sessions_opened_.Inc();
+  return OpenSession(source, destination, time_slot, 0);
+}
+
+// A resumed session the server could not re-adopt: a new upstream session
+// on the ring replays the client's full prefix, and the first `emit_skip`
+// scores it returns (the ones the client already holds) are dropped — no
+// gaps, no duplicates, wherever the old upstream session ended up.
+serve::SessionId Router::BeginSessionAt(roadnet::SegmentId source,
+                                        roadnet::SegmentId destination,
+                                        int time_slot, int64_t emit_skip) {
+  return OpenSession(source, destination, time_slot, emit_skip);
+}
+
+serve::PushStatus Router::Push(serve::SessionId id,
+                               roadnet::SegmentId segment,
+                               uint64_t trace_id) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end() || it->second.lost) {
+    return serve::PushStatus::kShutdown;
+  }
+  FleetSession& s = it->second;
+  // Blocking upstream push: window flow control and go-back-N live in the
+  // leg client, so retryable rejects never surface downstream — they show
+  // up as this call applying backpressure. A trace id rides along to the
+  // backend; the router's leg span wraps the forward (including any
+  // backpressure drain it absorbed).
+  const bool traced = trace_id != 0 && options_.tracer != nullptr;
+  const double trace_t0 = traced ? obs::TraceNowMs() : 0.0;
+  const util::Status st = s.leg->client->Push(s.up_id, segment, trace_id);
+  FoldLegStats(s.leg.get());
+  if (!st.ok()) {
+    // A session-level verdict on a healthy leg (the backend's service shut
+    // it down) is final; anything else means the leg could not deliver,
+    // and the server has the client rebuild the session.
+    if (st.code() != util::StatusCode::kFailedPrecondition ||
+        !s.leg->client->status().ok()) {
+      s.lost = true;
     }
-    if (open) Housekeeping(&conn);
+    return serve::PushStatus::kShutdown;
   }
-  // Upstream legs close with the handler; the backends park resumable
-  // sessions in their detached tables until the linger expires.
-  for (auto& entry : conn.legs) RetireLegStats(*entry.second);
-  conn.legs.clear();
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    live_ds_fds_.erase(fd);
+  if (traced) {
+    options_.tracer->Record(trace_id, "router_leg", options_.trace_where,
+                            trace_t0, obs::TraceNowMs() - trace_t0);
   }
-  close(fd);
-  connections_active_.Add(-1);
+  return serve::PushStatus::kAccepted;
 }
 
-void Router::RetireLegStats(const Leg& leg) {
-  if (!leg.client) return;
-  const ClientStats& s = leg.client->stats();
-  upstream_reconnects_.Inc(s.reconnects);
-  dup_scores_dropped_.Inc(s.dup_scores);
+void Router::End(serve::SessionId id) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end() || it->second.ended) return;
+  FleetSession& s = it->second;
+  s.ended = true;
+  if (!s.lost && !stop_.load(std::memory_order_acquire)) {
+    // Finish drains every in-flight point upstream and returns whatever
+    // was not yet polled; downstream clients drain before sending End, so
+    // the tail is normally empty, but a resume rebuild can leave one.
+    auto tail = s.leg->client->Finish(s.up_id);
+    FoldLegStats(s.leg.get());
+    if (tail.ok()) {
+      s.tail = std::move(*tail);
+      DropReplayed(&s, &s.tail);
+    } else {
+      s.lost = true;
+    }
+  }
+  // Nothing left to hand out: forget the session now, since the server
+  // polls an ended session only while it is still owed scores.
+  if (s.lost || s.tail.empty()) Forget(it);
 }
 
-void Router::Housekeeping(DsConn* conn) {
+std::vector<double> Router::Poll(serve::SessionId id) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return {};
+  FleetSession& s = it->second;
+  std::vector<double> scores;
+  if (s.ended) {
+    scores.swap(s.tail);
+    Forget(it);
+  } else if (!s.lost && !stop_.load(std::memory_order_acquire)) {
+    auto polled = s.leg->client->Poll(s.up_id);
+    FoldLegStats(s.leg.get());
+    if (polled.ok()) {
+      scores = std::move(*polled);
+      DropReplayed(&s, &scores);
+    } else {
+      s.lost = true;
+    }
+  }
+  scores_forwarded_.Inc(static_cast<int64_t>(scores.size()));
+  return scores;
+}
+
+// A session the router no longer holds has nothing left to deliver.
+bool Router::Lost(serve::SessionId id) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return true;
+  const FleetSession& s = it->second;
+  return s.lost || (!s.ended && !s.leg->client->status().ok());
+}
+
+// Model administration is a backend concern: RollSwap stages and commits
+// over admin connections, so the server answers wire Admin frames with an
+// error ack and never reaches SwapModel.
+bool Router::TakesAdmin() const { return false; }
+bool Router::SwapModel(const core::CausalTad* /*model*/) { return false; }
+
+double Router::Tick() {
   const double now = NowMs();
-  if (now - conn->last_tick_ms < options_.idle_tick_ms) return;
-  conn->last_tick_ms = now;
-  for (auto& entry : conn->legs) {
-    Leg* leg = entry.second.get();
-    if (!leg->client->status().ok()) continue;
+  const double since = now - last_tick_ms_;
+  if (since < options_.idle_tick_ms) return options_.idle_tick_ms - since;
+  last_tick_ms_ = now;
+  for (std::shared_ptr<Leg>& slot : legs_) {
+    Leg* leg = slot.get();
+    if (leg == nullptr) continue;
+    if (!leg->client->status().ok()) {
+      RetireLeg(&slot);
+      continue;
+    }
     if (leg->current >= 0 &&
         draining_[leg->current].load(std::memory_order_acquire)) {
       // Administrative migration: the dialer avoids draining backends, so
@@ -598,306 +603,29 @@ void Router::Housekeeping(DsConn* conn) {
       migrations_.Inc();
       (void)leg->client->Migrate();  // failure latches into the leg status
       leg->last_heartbeat_ms = now;
-      continue;
-    }
-    if (options_.upstream_heartbeat_ms > 0 &&
-        now - leg->last_heartbeat_ms >= options_.upstream_heartbeat_ms) {
+    } else if (options_.upstream_heartbeat_ms > 0 &&
+               now - leg->last_heartbeat_ms >= options_.upstream_heartbeat_ms) {
       leg->last_heartbeat_ms = now;
       (void)leg->client->Heartbeat();  // reconnects (or latches) on failure
     }
+    FoldLegStats(leg);
   }
+  MirrorServerSeries();
+  return options_.idle_tick_ms;
 }
 
-bool Router::SendDs(DsConn* conn, const Frame& frame) {
-  std::vector<uint8_t> bytes;
-  EncodeFrame(frame, &bytes);
-  const util::Status st = SendAll(conn->fd, bytes.data(), bytes.size(),
-                                  options_.downstream_timeout_ms, nullptr);
-  return st.ok();
-}
-
-bool Router::SendError(DsConn* conn, ErrorCode code,
-                       const std::string& message) {
-  Frame err;
-  err.type = FrameType::kError;
-  err.code = code;
-  err.message = message;
-  SendDs(conn, err);
-  return false;  // callers `return SendError(...)` to close the connection
-}
-
-bool Router::SendScoreChunks(DsConn* conn, uint64_t session, uint64_t token,
-                             int64_t base, const std::vector<double>& scores) {
-  size_t sent = 0;
-  do {
-    const size_t chunk =
-        std::min(scores.size() - sent, kMaxScoresPerDelta);
-    Frame delta;
-    delta.type = FrameType::kScoreDelta;
-    delta.session = session;
-    delta.token = token;
-    delta.offset = static_cast<uint64_t>(base) + sent;
-    delta.scores.assign(scores.begin() + sent, scores.begin() + sent + chunk);
-    if (!SendDs(conn, delta)) return false;
-    sent += chunk;
-  } while (sent < scores.size());
+bool Router::Exposition(std::string* text) {
+  *text = ScrapeFleet();
   return true;
-}
-
-bool Router::DispatchFrame(DsConn* conn, const Frame& frame) {
-  if (!conn->hello_done) {
-    if (frame.type != FrameType::kHello) {
-      return SendError(conn, ErrorCode::kAuthRequired,
-                       "first frame must be Hello");
-    }
-    if (!options_.tenant_tokens.empty()) {
-      const auto it = options_.tenant_tokens.find(frame.tenant);
-      if (it == options_.tenant_tokens.end() ||
-          it->second != frame.auth_token) {
-        auth_failures_.Inc();
-        return SendError(conn, ErrorCode::kAuthFailed,
-                         "unknown tenant or bad token");
-      }
-    }
-    conn->tenant = frame.tenant;
-    conn->hello_done = true;
-    return true;
-  }
-  switch (frame.type) {
-    case FrameType::kHello:
-      return true;  // idempotent re-Hello (client resume handshakes)
-    case FrameType::kBegin:
-      return HandleBegin(conn, frame);
-    case FrameType::kPush:
-      return HandlePush(conn, frame);
-    case FrameType::kEnd:
-      return HandleEnd(conn, frame);
-    case FrameType::kPoll:
-      return HandlePoll(conn, frame);
-    case FrameType::kResume:
-      return HandleResume(conn, frame);
-    case FrameType::kHeartbeat: {
-      if (frame.seq != 1) return true;  // stray pong: ignore
-      Frame pong;
-      pong.type = FrameType::kHeartbeat;
-      pong.token = frame.token;
-      pong.seq = 0;
-      return SendDs(conn, pong);
-    }
-    case FrameType::kAdmin: {
-      // Model administration is a backend concern; the router's own control
-      // plane (drain, roll-swap) is API-driven, not wire-driven.
-      Frame ack;
-      ack.type = FrameType::kAdminAck;
-      ack.token = frame.token;
-      ack.seq = static_cast<uint64_t>(AdminStatus::kError);
-      ack.message = "admin commands are not routed; use the router API";
-      return SendDs(conn, ack);
-    }
-    case FrameType::kStats: {
-      // Fleet scrape: one downstream Stats frame reads every backend plus
-      // the router itself. Authorization is the downstream Hello (the
-      // router's tenant_tokens); backend scrapes use the admin credentials.
-      Frame ack;
-      ack.type = FrameType::kAdminAck;
-      ack.token = frame.token;
-      ack.seq = static_cast<uint64_t>(AdminStatus::kOk);
-      ack.message = ScrapeFleet();
-      return SendDs(conn, ack);
-    }
-    case FrameType::kScoreDelta:
-    case FrameType::kPushReject:
-    case FrameType::kError:
-    case FrameType::kResumeAck:
-    case FrameType::kAdminAck:
-      return SendError(conn, ErrorCode::kProtocol,
-                       "server-only frame from client");
-  }
-  return SendError(conn, ErrorCode::kProtocol, "unknown frame type");
-}
-
-bool Router::HandleBegin(DsConn* conn, const Frame& frame) {
-  if (conn->sessions.count(frame.session) != 0) {
-    return SendError(conn, ErrorCode::kDuplicateSession,
-                     "session id already live");
-  }
-  const uint64_t hash =
-      frame.resume_key != 0
-          ? Mix(frame.resume_key)
-          : Mix(Mix(conn->id) ^ Mix(frame.session + 0xa5a5ull));
-  const int home = PickBackend(hash);
-  if (home < 0) {
-    return SendError(conn, ErrorCode::kShuttingDown, "no live backends");
-  }
-  util::Status err = util::Status::Ok();
-  Leg* leg = LegForBackend(conn, home, &err);
-  if (leg == nullptr) {
-    return SendError(conn, ErrorCode::kShuttingDown, err.message());
-  }
-  DsSession s;
-  s.leg = leg;
-  s.up_id = leg->client->Begin(frame.source, frame.destination,
-                               frame.time_slot);
-  conn->sessions.emplace(frame.session, std::move(s));
-  sessions_opened_.Inc();
-  return true;
-}
-
-bool Router::HandlePush(DsConn* conn, const Frame& frame) {
-  const auto it = conn->sessions.find(frame.session);
-  if (it == conn->sessions.end()) {
-    return SendError(conn, ErrorCode::kUnknownSession,
-                     "push for unknown session");
-  }
-  DsSession& s = it->second;
-  if (s.ended) {
-    return SendError(conn, ErrorCode::kProtocol, "push after end");
-  }
-  if (frame.seq < s.expected_seq) return true;  // duplicate: drop
-  if (frame.seq > s.expected_seq) {
-    Frame reject;
-    reject.type = FrameType::kPushReject;
-    reject.session = frame.session;
-    reject.seq = frame.seq;
-    reject.wire_seq = frame.wire_seq;
-    reject.reason = RejectReason::kOutOfOrder;
-    return SendDs(conn, reject);
-  }
-  // Blocking upstream push: window flow control and go-back-N live in the
-  // leg client, so retryable rejects never surface downstream — they show
-  // up as this call (and therefore this connection) applying backpressure.
-  // A v4 trace id rides along to the backend; the router's leg span wraps
-  // the forward (including any backpressure drain it absorbed).
-  const bool traced = frame.trace_id != 0 && options_.tracer != nullptr;
-  const double trace_t0 = traced ? obs::TraceNowMs() : 0.0;
-  const util::Status st =
-      s.leg->client->Push(s.up_id, frame.segment, frame.trace_id);
-  if (traced && st.ok()) {
-    options_.tracer->Record(frame.trace_id, "router_leg", options_.trace_where,
-                            trace_t0, obs::TraceNowMs() - trace_t0);
-  }
-  if (!st.ok()) {
-    if (st.code() == util::StatusCode::kFailedPrecondition) {
-      // The backend's service shut the session down (terminal reject).
-      Frame reject;
-      reject.type = FrameType::kPushReject;
-      reject.session = frame.session;
-      reject.seq = frame.seq;
-      reject.wire_seq = frame.wire_seq;
-      reject.reason = RejectReason::kShutdown;
-      return SendDs(conn, reject);
-    }
-    return SendError(conn, ErrorCode::kProtocol,
-                     "upstream push failed: " + st.message());
-  }
-  ++s.expected_seq;
-  return true;
-}
-
-bool Router::HandlePoll(DsConn* conn, const Frame& frame) {
-  const auto it = conn->sessions.find(frame.session);
-  if (it == conn->sessions.end()) {
-    // A Poll is ALWAYS answered (ordering barrier), mirroring the server.
-    return SendScoreChunks(conn, frame.session, frame.token, 0, {});
-  }
-  DsSession& s = it->second;
-  std::vector<double> scores;
-  if (s.ended) {
-    scores.swap(s.tail);
-  } else {
-    auto polled = s.leg->client->Poll(s.up_id);
-    if (!polled.ok()) {
-      return SendError(conn, ErrorCode::kProtocol,
-                       "upstream poll failed: " + polled.status().message());
-    }
-    scores = std::move(*polled);
-  }
-  if (s.drop_scores > 0 && !scores.empty()) {
-    // Resume rebuild: the upstream session replays from seq 0 but the
-    // downstream already holds this prefix — drop it so the re-stamped
-    // stream continues exactly at the client's high-water mark.
-    const int64_t k =
-        std::min<int64_t>(s.drop_scores, static_cast<int64_t>(scores.size()));
-    scores.erase(scores.begin(), scores.begin() + k);
-    s.drop_scores -= k;
-  }
-  const int64_t base = s.delivered;
-  s.delivered += static_cast<int64_t>(scores.size());
-  scores_forwarded_.Inc(static_cast<int64_t>(scores.size()));
-  if (!SendScoreChunks(conn, frame.session, frame.token, base, scores)) {
-    return false;
-  }
-  ForgetIfDone(conn, frame.session);
-  return true;
-}
-
-bool Router::HandleEnd(DsConn* conn, const Frame& frame) {
-  const auto it = conn->sessions.find(frame.session);
-  if (it == conn->sessions.end()) return true;  // idempotent
-  DsSession& s = it->second;
-  if (s.ended) return true;
-  // Finish drains every in-flight point upstream and returns whatever tail
-  // was not yet polled; downstream clients drain before sending End, so
-  // the tail is normally empty, but a resume rebuild can leave one.
-  auto tail = s.leg->client->Finish(s.up_id);
-  if (!tail.ok()) {
-    return SendError(conn, ErrorCode::kProtocol,
-                     "upstream end failed: " + tail.status().message());
-  }
-  s.tail = std::move(*tail);
-  s.ended = true;
-  ForgetIfDone(conn, frame.session);
-  return true;
-}
-
-void Router::ForgetIfDone(DsConn* conn, uint64_t session) {
-  const auto it = conn->sessions.find(session);
-  if (it == conn->sessions.end()) return;
-  const DsSession& s = it->second;
-  if (s.ended && s.tail.empty()) conn->sessions.erase(it);
-}
-
-bool Router::HandleResume(DsConn* conn, const Frame& frame) {
-  if (frame.resume_key == 0) {
-    return SendError(conn, ErrorCode::kProtocol, "resume without key");
-  }
-  // The router keeps no cross-connection session state: every downstream
-  // resume is a fresh rebuild. A new upstream session is opened on the
-  // key's ring owner, the ResumeAck asks the client for a full prefix
-  // replay (offset 0), and drop_scores discards the prefix the client
-  // already delivered — no gaps, no duplicates, wherever the old backend
-  // session ended up (its parked state expires via the backend linger).
-  conn->sessions.erase(frame.session);
-  const int home = PickBackend(Mix(frame.resume_key));
-  if (home < 0) {
-    return SendError(conn, ErrorCode::kShuttingDown, "no live backends");
-  }
-  util::Status err = util::Status::Ok();
-  Leg* leg = LegForBackend(conn, home, &err);
-  if (leg == nullptr) {
-    return SendError(conn, ErrorCode::kShuttingDown, err.message());
-  }
-  DsSession s;
-  s.leg = leg;
-  s.up_id = leg->client->Begin(frame.source, frame.destination,
-                               frame.time_slot);
-  s.delivered = static_cast<int64_t>(frame.offset);
-  s.drop_scores = static_cast<int64_t>(frame.offset);
-  conn->sessions.emplace(frame.session, std::move(s));
-  sessions_resumed_.Inc();
-  Frame ack;
-  ack.type = FrameType::kResumeAck;
-  ack.session = frame.session;
-  ack.offset = 0;  // replay the full prefix
-  return SendDs(conn, ack);
 }
 
 RouterStats Router::stats() const {
+  const ServerStats server = server_->stats();
   RouterStats s;
-  s.connections_accepted = connections_accepted_.value();
-  s.connections_active = connections_active_.value();
+  s.connections_accepted = server.connections_accepted;
+  s.connections_active = server.connections_active;
   s.sessions_opened = sessions_opened_.value();
-  s.sessions_resumed = sessions_resumed_.value();
+  s.sessions_resumed = server.sessions_resumed + server.sessions_resumed_fresh;
   s.failovers = failovers_.value();
   s.migrations = migrations_.value();
   s.upstream_reconnects = upstream_reconnects_.value();
@@ -906,7 +634,8 @@ RouterStats Router::stats() const {
   s.health_probes = health_probes_.value();
   s.probe_failures = probe_failures_.value();
   s.swaps_rolled = swaps_rolled_.value();
-  s.auth_failures = auth_failures_.value();
+  s.auth_failures = server.auth_failures;
+  s.sessions_live = sessions_live_.load(std::memory_order_relaxed);
   for (int i = 0; i < num_backends(); ++i) {
     if (dead_[i].load(std::memory_order_acquire)) ++s.backends_dead;
   }

@@ -4,18 +4,18 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/client.h"
 #include "net/fault.h"
-#include "net/frame.h"
+#include "net/server.h"
+#include "obs/metrics.h"
+#include "serve/session_backend.h"
 #include "util/status.h"
 
 namespace causaltad {
@@ -62,13 +62,14 @@ struct RouterOptions {
   /// Hellos, and exchanges one heartbeat. `health_failure_threshold`
   /// consecutive probe failures mark the backend dead (new sessions and
   /// failover dials skip it); one success marks it live again.
-  /// interval <= 0 disables the thread (tests drive MarkDead directly).
+  /// interval <= 0 disables the thread (every backend then stays live).
   double health_interval_ms = 25.0;
   int health_failure_threshold = 3;
   double health_timeout_ms = 500.0;
 
-  /// Handler housekeeping cadence: the downstream read loop wakes at least
-  /// this often to notice drains (and to observe Stop()).
+  /// Housekeeping cadence: the router's event loop wakes at least this
+  /// often to migrate legs off draining backends and to send upstream
+  /// heartbeats.
   double idle_tick_ms = 20.0;
 
   /// Optional keepalive on idle upstream legs: when > 0, a leg that has
@@ -79,8 +80,6 @@ struct RouterOptions {
 
   /// Bound on DrainBackend's wait for legs to migrate off.
   double drain_timeout_ms = 10000.0;
-  /// Bound on any single blocking downstream send.
-  double downstream_timeout_ms = 5000.0;
 
   /// Deterministic fault injection on the UPSTREAM legs (the router's
   /// client sockets). nullptr = no faults. Must outlive the router.
@@ -102,15 +101,16 @@ struct RouterOptions {
   double scrape_timeout_ms = 2000.0;
 };
 
-/// Router counters (point-in-time snapshot via stats()).
+/// Router counters (point-in-time snapshot via stats()). Connections,
+/// resumes and auth failures are the downstream server's counts.
 struct RouterStats {
   int64_t connections_accepted = 0;
   int64_t connections_active = 0;
   int64_t sessions_opened = 0;   // downstream Begins placed upstream
-  int64_t sessions_resumed = 0;  // downstream Resumes rebuilt upstream
+  int64_t sessions_resumed = 0;  // downstream Resumes, re-adopted or rebuilt
   int64_t failovers = 0;         // upstream dials that landed off-home
   int64_t migrations = 0;        // drain-triggered Client::Migrate calls
-  int64_t upstream_reconnects = 0;  // outages survived by retired legs
+  int64_t upstream_reconnects = 0;  // outages survived by upstream legs
   int64_t dup_scores_dropped = 0;   // upstream redeliveries deduped
   int64_t scores_forwarded = 0;     // scores delivered downstream
   int64_t health_probes = 0;
@@ -118,55 +118,55 @@ struct RouterStats {
   int64_t backends_dead = 0;  // currently marked dead
   int64_t swaps_rolled = 0;   // backends stage+commit'ed by RollSwap
   int64_t auth_failures = 0;
+  int64_t sessions_live = 0;  // upstream sessions the router still holds
 };
 
-/// Multi-backend router: speaks the src/net wire protocol downstream
-/// (clients connect to it exactly as they would to a single Server) and
-/// fans sessions out across N backend Servers over net::Client upstream
-/// legs.
+/// Multi-backend router: a net::Server whose sessions live on a remote
+/// fleet of N backend Servers instead of an in-process StreamingService.
+/// Clients connect to it exactly as they would to a single Server, and the
+/// same protocol code serves them: tenant auth, detached-session resume,
+/// per-frame dispatch histograms.
 ///
 ///  * Placement: sessions are consistent-hashed (vnode ring) onto a home
-///    backend; each downstream connection lazily opens one upstream leg
-///    per home backend it touches.
+///    backend; the router keeps one upstream net::Client leg per home
+///    backend, shared by every session placed there.
 ///  * Failover: a leg's dialer prefers its home backend and falls through
 ///    to the next live, non-draining backend — so when a backend dies
 ///    mid-stream, Client::Recover's journaled prefix replay rebuilds every
 ///    session on a peer and the downstream score stream continues with no
-///    gaps and no duplicates (the router re-stamps deltas with its own
-///    cumulative offsets).
-///  * Drain: DrainBackend marks a backend ineligible and waits while
-///    handler threads Migrate() their legs off it; UndrainBackend restores
+///    gaps and no duplicates.
+///  * Drain: DrainBackend marks a backend ineligible and waits while the
+///    event loop Migrate()s its legs off it; UndrainBackend restores
 ///    eligibility. RollSwap composes admin stage/commit with drains for a
 ///    zero-downtime fleet-wide model swap.
 ///
-/// Threading: one thread per downstream connection (each owning its
-/// single-threaded upstream Clients), plus a health-probe thread.
-class Router {
+/// Threading: the server's event loop makes every leg call (legs are
+/// single-threaded Clients); a health-probe thread marks backends dead or
+/// alive. Control-plane calls may come from any thread.
+class Router : private serve::SessionBackend {
  public:
   Router(std::vector<RouterBackend> backends, RouterOptions options = {});
-  ~Router();
+  ~Router() override;
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Binds the listener (if configured) and starts the health thread.
+  /// Starts the downstream server (binding the listener, if configured)
+  /// and the health thread.
   util::Status Start();
-  /// Stops accepting, wakes every handler, and joins all threads. Live
-  /// downstream connections are shut down; upstream sessions are left to
-  /// the backends' detached-session linger.
+  /// Stops the server and the health thread. Live downstream connections
+  /// are closed; upstream sessions are left to the backends'
+  /// detached-session linger.
   void Stop();
 
   /// Downstream attach without TCP: returns the client end of a connected
-  /// socketpair whose server end is handled by a fresh handler thread.
-  int AddLoopbackConnection();
-  int port() const { return port_; }
+  /// socketpair served by the router's event loop.
+  int AddLoopbackConnection() { return server_->AddLoopbackConnection(); }
+  int port() const { return server_->port(); }
   int num_backends() const { return static_cast<int>(backends_.size()); }
 
-  /// Health/drain control plane.
+  /// Health/drain control plane. Out-of-range backends answer false.
   bool BackendAlive(int backend) const;
   bool BackendDraining(int backend) const;
-  /// Manual health override (tests; the health thread will re-mark on its
-  /// next probe unless disabled).
-  void MarkDead(int backend, bool dead);
   /// Marks the backend ineligible for new placements and failover dials,
   /// then blocks until every leg has migrated off it (or drain_timeout_ms
   /// expires). Fails fast when no other live backend could absorb the
@@ -192,62 +192,80 @@ class Router {
   RouterStats stats() const;
 
  private:
-  // One upstream client leg: created per (downstream connection, home
-  // backend), single-threaded with its owning handler.
+  // One upstream client leg per home backend, owned by the router (not by
+  // a downstream connection: a detached session outlives its connection).
   struct Leg {
     Router* router = nullptr;
     int home = -1;     // ring placement this leg was created for
     int current = -1;  // backend the last successful dial landed on
     double last_heartbeat_ms = 0.0;
+    int64_t reconnects_folded = 0;  // leg stats already counted
+    int64_t dups_folded = 0;
     std::unique_ptr<Client> client;
     ~Leg();
   };
-  // Downstream session state (router side of the translation).
-  struct DsSession {
-    Leg* leg = nullptr;
-    uint64_t up_id = 0;        // session id on the upstream leg
-    uint64_t expected_seq = 0;  // next downstream push seq
-    int64_t delivered = 0;      // scores delivered downstream (offset base)
-    int64_t drop_scores = 0;    // resume rebuild: upstream prefix to drop
+  // A downstream session's upstream half.
+  struct FleetSession {
+    std::shared_ptr<Leg> leg;  // null: no backend could take the session
+    uint64_t up_id = 0;        // session id on the leg
+    int64_t drop_scores = 0;   // resume rebuild: upstream prefix to drop
     bool ended = false;
+    bool lost = false;  // the upstream half is gone: no more scores
     std::vector<double> tail;  // scores drained by Finish, not yet polled
   };
-  struct DsConn;
 
-  void HandlerMain(int fd, uint64_t conn_id);
-  bool DispatchFrame(DsConn* conn, const Frame& frame);  // false = close
-  bool HandleBegin(DsConn* conn, const Frame& frame);
-  bool HandlePush(DsConn* conn, const Frame& frame);
-  bool HandlePoll(DsConn* conn, const Frame& frame);
-  bool HandleEnd(DsConn* conn, const Frame& frame);
-  bool HandleResume(DsConn* conn, const Frame& frame);
-  void Housekeeping(DsConn* conn);
-  bool SendDs(DsConn* conn, const Frame& frame);
-  bool SendError(DsConn* conn, ErrorCode code, const std::string& message);
-  bool SendScoreChunks(DsConn* conn, uint64_t session, uint64_t token,
-                       int64_t base, const std::vector<double>& scores);
-  void ForgetIfDone(DsConn* conn, uint64_t session);
+  // serve::SessionBackend, called on the server's event loop only.
+  serve::SessionId BeginSession(roadnet::SegmentId source,
+                                roadnet::SegmentId destination,
+                                int time_slot) override;
+  serve::SessionId BeginSessionAt(roadnet::SegmentId source,
+                                  roadnet::SegmentId destination,
+                                  int time_slot, int64_t emit_skip) override;
+  serve::PushStatus Push(serve::SessionId id, roadnet::SegmentId segment,
+                         uint64_t trace_id) override;
+  void End(serve::SessionId id) override;
+  std::vector<double> Poll(serve::SessionId id) override;
+  bool Lost(serve::SessionId id) override;
+  bool TakesAdmin() const override;
+  bool SwapModel(const core::CausalTad* model) override;
+  double Tick() override;
+  bool Exposition(std::string* text) override;
 
-  Leg* LegForBackend(DsConn* conn, int home, util::Status* error);
+  serve::SessionId OpenSession(roadnet::SegmentId source,
+                               roadnet::SegmentId destination, int time_slot,
+                               int64_t emit_skip);
+  void Forget(std::unordered_map<serve::SessionId, FleetSession>::iterator it);
+  /// Drops the prefix a resume rebuild replays that the client already has.
+  void DropReplayed(FleetSession* s, std::vector<double>* scores);
+  /// The live leg for `home`, dialing a fresh one on first use or after the
+  /// old one latched a fatal error; null when no backend answers.
+  std::shared_ptr<Leg> LegFor(int home);
+  /// Drops a fatally failed leg from its slot and from the drain count; its
+  /// sessions keep the object until they end.
+  void RetireLeg(std::shared_ptr<Leg>* slot);
+  void FoldLegStats(Leg* leg);
+  /// Refreshes the router_* series that carry the downstream server's
+  /// connection, auth-failure and resume counts (every tick and scrape).
+  void MirrorServerSeries();
   /// The failover dialer: home backend if eligible, else the next live,
   /// non-draining backend; tries every candidate before giving up.
   int DialUpstream(Leg* leg);
   int DialBackendFd(int backend);
+  /// Options for the short-lived admin connections (probes, swaps, scrapes).
+  ClientOptions AdminClientOptions(double timeout_ms) const;
   bool Eligible(int backend) const;
   /// Ring owner of `hash` among eligible backends (-1 when none).
   int PickBackend(uint64_t hash) const;
+  void MarkDead(int backend, bool dead);
 
   void HealthMain();
   void ProbeBackend(int backend);
-  void AcceptMain();
-  void SpawnHandler(int fd);
-  void RetireLegStats(const Leg& leg);
 
   std::vector<RouterBackend> backends_;
   RouterOptions options_;
   std::vector<std::pair<uint64_t, int>> ring_;  // (point, backend), sorted
 
-  // Shared health/drain view (handlers, health thread, control plane).
+  // Shared health/drain view (event loop, health thread, control plane).
   std::unique_ptr<std::atomic<bool>[]> dead_;
   std::unique_ptr<std::atomic<bool>[]> draining_;
   std::unique_ptr<std::atomic<int64_t>[]> legs_on_;  // legs per backend
@@ -255,19 +273,23 @@ class Router {
 
   std::atomic<bool> stop_{false};
   bool started_ = false;
-  int listen_fd_ = -1;
-  int port_ = -1;
   std::thread health_thread_;
-  std::thread accept_thread_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> handler_threads_;
-  std::unordered_set<int> live_ds_fds_;  // for Stop() to shutdown()
   std::mutex lifecycle_mu_;
-  std::mutex swap_mu_;  // serializes RollSwap
-  std::atomic<uint64_t> next_conn_id_{1};
+  std::mutex swap_mu_;    // serializes RollSwap
+  std::mutex mirror_mu_;  // serializes MirrorServerSeries
+
+  // Event-loop state.
+  std::vector<std::shared_ptr<Leg>> legs_;  // by home backend
+  std::unordered_map<serve::SessionId, FleetSession> sessions_;
+  serve::SessionId next_session_ = 0;
+  std::atomic<int64_t> sessions_live_{0};  // sessions_.size(), for stats()
+  uint64_t legs_opened_ = 0;
+  double last_tick_ms_ = 0.0;
 
   // Counters (see RouterStats): registry-backed router_* series; the
   // Scoped wrappers keep stats() per-instance when registries are shared.
+  // The connection, auth and resume series mirror the downstream server's
+  // counts (MirrorServerSeries).
   obs::Registry* registry_ = nullptr;
   obs::ScopedCounter connections_accepted_;
   obs::ScopedGauge connections_active_;
@@ -283,6 +305,11 @@ class Router {
   obs::ScopedCounter swaps_rolled_;
   obs::ScopedCounter auth_failures_;
   obs::Gauge* backends_dead_gauge_ = nullptr;  // refreshed on probe/scrape
+
+  // The downstream protocol server over this fleet. Its series stay in a
+  // private registry, so the fleet view carries router_* series only.
+  obs::Registry server_registry_;
+  std::unique_ptr<Server> server_;
 };
 
 }  // namespace net

@@ -2,9 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -28,12 +25,6 @@ void SetNonBlocking(int fd) {
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-void SetNoDelay(int fd) {
-  // Best effort: fails harmlessly on AF_UNIX loopback pairs.
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
 // Scores per ScoreDelta frame: 64 KiB of payload, far under the 1 MiB
 // frame cap, so a session's unpolled backlog of any size streams back as a
 // sequence of decodable frames.
@@ -41,9 +32,9 @@ constexpr size_t kMaxScoresPerDelta = 8192;
 
 }  // namespace
 
-Server::Server(serve::StreamingService* service, ServerOptions options)
-    : service_(service), options_(std::move(options)) {
-  CAUSALTAD_CHECK(service != nullptr);
+Server::Server(serve::SessionBackend* backend, ServerOptions options)
+    : backend_(backend), options_(std::move(options)) {
+  CAUSALTAD_CHECK(backend != nullptr);
   registry_ =
       options_.registry != nullptr ? options_.registry : obs::Registry::Default();
   connections_accepted_.Bind(registry_, "server_connections_accepted_total");
@@ -98,39 +89,17 @@ std::string Server::DetachedKey(const std::string& tenant,
 util::Status Server::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (started_) return util::Status::FailedPrecondition("already started");
-  if (pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
-    return util::Status::IoError("pipe2 failed: " +
-                                 std::string(std::strerror(errno)));
-  }
   if (options_.listen_port >= 0) {
-    listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-    if (listen_fd_ < 0) {
-      return util::Status::IoError("socket failed: " +
-                                   std::string(std::strerror(errno)));
-    }
-    int one = 1;
-    setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(options_.listen_port));
-    if (inet_pton(AF_INET, options_.listen_host.c_str(), &addr.sin_addr) !=
-        1) {
-      return util::Status::InvalidArgument("bad listen_host " +
-                                           options_.listen_host);
-    }
-    if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-            0 ||
-        listen(listen_fd_, 64) != 0) {
-      const std::string err = std::strerror(errno);
-      close(listen_fd_);
-      listen_fd_ = -1;
-      return util::Status::IoError("bind/listen failed: " + err);
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-    port_ = ntohs(bound.sin_port);
+    util::StatusOr<int> listener =
+        ListenTcp(options_.listen_host, options_.listen_port, &port_);
+    if (!listener.ok()) return listener.status();
+    listen_fd_ = *listener;
+  }
+  if (pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
+    const std::string err = std::strerror(errno);
+    if (listen_fd_ >= 0) close(listen_fd_);
+    listen_fd_ = -1;
+    return util::Status::IoError("pipe2 failed: " + err);
   }
   started_ = true;
   stop_.store(false, std::memory_order_release);
@@ -309,11 +278,13 @@ void Server::Loop() {
       polled.push_back(conn.get());
     }
     // With orphans or detached sessions pending (or a drain in flight),
-    // tick fast enough to move their scores as the service emits them;
+    // tick fast enough to move their scores as the backend emits them;
     // otherwise just often enough to notice Stop() races lost to the wake
-    // pipe.
+    // pipe, or as often as the backend's housekeeping asks.
+    const double idle_ms =
+        (orphans_.empty() && detached_.empty() && !draining) ? 50.0 : 2.0;
     const int timeout_ms =
-        (orphans_.empty() && detached_.empty() && !draining) ? 50 : 2;
+        static_cast<int>(std::max(1.0, std::min(idle_ms, backend_->Tick())));
     const int ready = poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0 && errno != EINTR) break;
     if (ready >= 0) {
@@ -497,8 +468,9 @@ void Server::HandleBegin(Connection* conn, const Frame& frame) {
     }
   }
   SessionState state;
-  state.inner = service_->BeginSession(frame.source, frame.destination,
+  state.inner = backend_->BeginSession(frame.source, frame.destination,
                                        frame.time_slot);
+  if (RefuseIfLost(conn, state)) return;
   state.resume_key = frame.resume_key;
   conn->sessions.emplace(frame.session, state);
 }
@@ -569,7 +541,13 @@ void Server::HandlePush(Connection* conn, const Frame& frame) {
   // the span chain (the shard batcher records queue_wait/compute/emit).
   const bool traced = frame.trace_id != 0 && options_.tracer != nullptr;
   const double trace_t0 = traced ? obs::TraceNowMs() : 0.0;
-  switch (service_->Push(state.inner, frame.segment, frame.trace_id)) {
+  const serve::PushStatus status =
+      backend_->Push(state.inner, frame.segment, frame.trace_id);
+  if (status != serve::PushStatus::kAccepted && SessionLost(state)) {
+    DropLostSession(conn, frame.session);
+    return;
+  }
+  switch (status) {
     case serve::PushStatus::kAccepted:
       ++state.expected_seq;
       if (deliverable) ++*pending;
@@ -617,12 +595,15 @@ void Server::HandleEnd(Connection* conn, const Frame& frame) {
     return;
   }
   it->second.ended = true;
-  service_->End(it->second.inner);
+  backend_->End(it->second.inner);
+  if (SessionLost(it->second)) {
+    DropLostSession(conn, frame.session);
+    return;
+  }
   MaybeForgetSession(conn, frame.session);
 }
 
 void Server::SendScoreChunks(Connection* conn, uint64_t session_id,
-                             SessionState* state,
                              const std::vector<double>& scores, int64_t base,
                              uint64_t token) {
   // A large backlog is split across frames so no delta ever exceeds
@@ -643,11 +624,9 @@ void Server::SendScoreChunks(Connection* conn, uint64_t session_id,
     if (sent == scores.size()) delta.token = token;
     SendFrame(conn, delta);
     // SendFrame may have closed the connection (broken pipe / slow
-    // consumer), invalidating `state` and the session map — stop touching
-    // both.
+    // consumer), clearing the session map — stop touching it.
     if (conn->fd < 0) return;
   } while (sent < scores.size());
-  (void)state;
 }
 
 void Server::HandlePoll(Connection* conn, const Frame& frame) {
@@ -657,7 +636,11 @@ void Server::HandlePoll(Connection* conn, const Frame& frame) {
   const bool known = it != conn->sessions.end();
   if (known) {
     SessionState& state = it->second;
-    scores = service_->Poll(state.inner);
+    scores = backend_->Poll(state.inner);
+    if (scores.empty() && SessionLost(state)) {
+      DropLostSession(conn, frame.session);
+      return;
+    }
     const int64_t n = static_cast<int64_t>(scores.size());
     base = state.delivered;
     state.delivered += n;
@@ -683,8 +666,7 @@ void Server::HandlePoll(Connection* conn, const Frame& frame) {
   }
   // Unknown sessions get an empty delta: a Poll is ALWAYS answered, so
   // clients can use it as an ordering barrier (e.g. right after Hello).
-  SendScoreChunks(conn, frame.session, known ? &it->second : nullptr, scores,
-                  base, frame.token);
+  SendScoreChunks(conn, frame.session, scores, base, frame.token);
   if (conn->fd < 0) return;
   if (known) MaybeForgetSession(conn, frame.session);
 }
@@ -723,7 +705,8 @@ void Server::HandleResume(Connection* conn, const Frame& frame) {
   const int64_t have = static_cast<int64_t>(frame.offset);
   const auto det = detached_.find(DetachedKey(conn->tenant,
                                               frame.resume_key));
-  if (det != detached_.end() && have >= det->second.state.history_base) {
+  if (det != detached_.end() && have >= det->second.state.history_base &&
+      !SessionLost(det->second.state)) {
     // Re-adopt: the interrupted session continues where it left off. The
     // ack tells the client to replay from the accepted high-water; the
     // unacked history tail is redelivered first (offset-stamped, so a
@@ -745,8 +728,8 @@ void Server::HandleResume(Connection* conn, const Frame& frame) {
     if (!state.history.empty()) {
       const std::vector<double> redeliver(state.history.begin(),
                                           state.history.end());
-      SendScoreChunks(conn, frame.session, &state, redeliver,
-                      state.history_base, /*token=*/0);
+      SendScoreChunks(conn, frame.session, redeliver, state.history_base,
+                      /*token=*/0);
       if (conn->fd < 0) return;
     }
     conn->sessions.emplace(frame.session, std::move(state));
@@ -754,9 +737,10 @@ void Server::HandleResume(Connection* conn, const Frame& frame) {
     return;
   }
   if (det != detached_.end()) {
-    // The client's high-water predates the retained history (cannot happen
-    // with a well-behaved client, but a corrupt peer must not wedge the
-    // parked state): abandon the old incarnation and rebuild fresh below.
+    // The backend lost the parked session, or the client's high-water
+    // predates the retained history (cannot happen with a well-behaved
+    // client, but a corrupt peer must not wedge the parked state): abandon
+    // the old incarnation and rebuild fresh below.
     AbandonDetachedLocked(&det->second);
     detached_.erase(det);
     detached_live_.Set(static_cast<int64_t>(detached_.size()));
@@ -777,8 +761,9 @@ void Server::HandleResume(Connection* conn, const Frame& frame) {
     }
   }
   SessionState state;
-  state.inner = service_->BeginSessionAt(frame.source, frame.destination,
+  state.inner = backend_->BeginSessionAt(frame.source, frame.destination,
                                          frame.time_slot, have);
+  if (RefuseIfLost(conn, state)) return;
   state.resume_key = frame.resume_key;
   state.skip = have;
   state.delivered = have;
@@ -815,6 +800,11 @@ void Server::SendAdminAck(Connection* conn, uint64_t token, AdminStatus status,
 }
 
 void Server::HandleAdmin(Connection* conn, const Frame& frame) {
+  if (!backend_->TakesAdmin()) {
+    SendAdminAck(conn, frame.token, AdminStatus::kError,
+                 "admin commands are not routed; use the router API");
+    return;
+  }
   // Authorization: a configured admin_tenant gates the surface; without
   // one, only an OPEN server (no tenant tokens) accepts admin commands.
   const bool authorized = options_.admin_tenant.empty()
@@ -888,7 +878,7 @@ void Server::HandleAdmin(Connection* conn, const Frame& frame) {
         return;
       case kStageReady: {
         if (stage_worker_.joinable()) stage_worker_.join();
-        if (!service_->SwapModel(staged_model_)) {
+        if (!backend_->SwapModel(staged_model_)) {
           SendAdminAck(conn, frame.token, AdminStatus::kError,
                        "service has shut down");
           return;
@@ -912,21 +902,6 @@ void Server::HandleAdmin(Connection* conn, const Frame& frame) {
 }
 
 void Server::HandleStats(Connection* conn, const Frame& frame) {
-  // Same authorization gate as Admin: the exposition names tenants and
-  // internals, so it is an operator surface, not a client one.
-  const bool authorized = options_.admin_tenant.empty()
-                              ? options_.tenant_tokens.empty()
-                              : conn->tenant == options_.admin_tenant;
-  if (!authorized) {
-    auth_failures_.Inc();
-    Frame nack;
-    nack.type = FrameType::kAdminAck;
-    nack.token = frame.token;
-    nack.seq = static_cast<uint64_t>(AdminStatus::kError);
-    nack.message = "stats not authorized for tenant '" + conn->tenant + "'";
-    SendFrame(conn, nack);
-    return;
-  }
   // Answered directly (NOT via SendAdminAck): a scrape is idempotent and
   // must not disturb the Admin replay cache — a duplicate commit arriving
   // after a scrape still has to re-receive its cached ack, not re-run.
@@ -934,7 +909,22 @@ void Server::HandleStats(Connection* conn, const Frame& frame) {
   ack.type = FrameType::kAdminAck;
   ack.token = frame.token;
   ack.seq = static_cast<uint64_t>(AdminStatus::kOk);
-  ack.message = registry_->ExpositionText();
+  // A fleet answers with its own view, to any authed tenant: the backends'
+  // scrapes behind it carry the fleet's admin credentials. Otherwise the
+  // same gate as Admin applies: the exposition names tenants and
+  // internals, so it is an operator surface, not a client one.
+  if (!backend_->Exposition(&ack.message)) {
+    const bool authorized = options_.admin_tenant.empty()
+                                ? options_.tenant_tokens.empty()
+                                : conn->tenant == options_.admin_tenant;
+    if (!authorized) {
+      auth_failures_.Inc();
+      ack.seq = static_cast<uint64_t>(AdminStatus::kError);
+      ack.message = "stats not authorized for tenant '" + conn->tenant + "'";
+    } else {
+      ack.message = registry_->ExpositionText();
+    }
+  }
   SendFrame(conn, ack);
 }
 
@@ -963,6 +953,32 @@ void Server::MaybeForgetSession(Connection* conn, uint64_t id) {
   if (it->second.ended && it->second.Outstanding() == 0) {
     conn->sessions.erase(it);
   }
+}
+
+bool Server::SessionLost(const SessionState& state) {
+  return (!state.ended || state.Outstanding() > 0) &&
+         backend_->Lost(state.inner);
+}
+
+bool Server::RefuseIfLost(Connection* conn, const SessionState& state) {
+  if (!SessionLost(state)) return false;
+  backend_->End(state.inner);
+  SendError(conn, ErrorCode::kShuttingDown, "no backend can host the session");
+  conn->closing = true;
+  return true;
+}
+
+void Server::DropLostSession(Connection* conn, uint64_t id) {
+  const auto it = conn->sessions.find(id);
+  if (it == conn->sessions.end()) return;
+  if (!it->second.ended) backend_->End(it->second.inner);
+  *TenantPending(conn->tenant) -= it->second.Outstanding();
+  conn->sessions.erase(it);
+  // A recoverable code: the client reconnects and Resumes, and with nothing
+  // parked under its key the session is rebuilt from the client's journal.
+  SendError(conn, ErrorCode::kProtocol,
+            "session " + std::to_string(id) + " lost by the backend");
+  conn->closing = true;
 }
 
 void Server::SendFrame(Connection* conn, const Frame& frame) {
@@ -1056,7 +1072,7 @@ void Server::CloseConnection(Connection* conn) {
     }
     // Not resumable (or draining): end it and let the orphan drain give
     // the quota back as the remaining scores surface.
-    if (!state.ended) service_->End(state.inner);
+    if (!state.ended) backend_->End(state.inner);
     if (state.Outstanding() > 0 || !state.ended) {
       orphans_.push_back({state.inner, conn->tenant, state.Outstanding()});
     }
@@ -1069,10 +1085,14 @@ void Server::CloseConnection(Connection* conn) {
 void Server::DrainOrphans() {
   for (size_t i = 0; i < orphans_.size();) {
     Orphan& orphan = orphans_[i];
-    const std::vector<double> scores = service_->Poll(orphan.inner);
+    const std::vector<double> scores = backend_->Poll(orphan.inner);
     const int64_t n = static_cast<int64_t>(scores.size());
     orphan.remaining -= n;
     *TenantPending(orphan.tenant) -= n;
+    if (orphan.remaining > 0 && backend_->Lost(orphan.inner)) {
+      *TenantPending(orphan.tenant) -= orphan.remaining;  // never coming
+      orphan.remaining = 0;
+    }
     if (orphan.remaining <= 0) {
       orphans_[i] = orphans_.back();
       orphans_.pop_back();
@@ -1086,7 +1106,7 @@ void Server::DrainOrphans() {
 void Server::AbandonDetachedLocked(Detached* detached) {
   SessionState& state = detached->state;
   if (!state.ended) {
-    service_->End(state.inner);
+    backend_->End(state.inner);
     state.ended = true;
   }
   if (state.Outstanding() > 0) {
@@ -1102,7 +1122,7 @@ void Server::DrainDetached(double now) {
     SessionState& state = detached.state;
     // Keep collecting the scores the service emits for the parked session;
     // they are what a reconnecting client is owed.
-    const std::vector<double> scores = service_->Poll(state.inner);
+    const std::vector<double> scores = backend_->Poll(state.inner);
     const int64_t n = static_cast<int64_t>(scores.size());
     if (n > 0) {
       state.delivered += n;
@@ -1116,7 +1136,7 @@ void Server::DrainDetached(double now) {
     const bool expired =
         options_.detached_linger_ms > 0.0 &&
         now - detached.detached_at_ms > options_.detached_linger_ms;
-    if (draining || history_overflow || expired) {
+    if (draining || history_overflow || expired || SessionLost(state)) {
       AbandonDetachedLocked(&detached);
       it = detached_.erase(it);
     } else {
@@ -1165,20 +1185,12 @@ ServerStats Server::stats() const {
   stats.models_committed = models_committed_.value();
   // Dispatch latency across every frame type, windowed to this instance via
   // the construction-time baselines (the registry series are cumulative).
-  const util::LatencyHistogram* hists[15];
-  util::LatencyHistogram::Snapshot bases[15];
-  int n = 0;
-  int64_t count = 0;
-  double sum_ms = 0.0;
-  for (uint8_t t = 1; t <= 14; ++t) {
-    hists[n] = dispatch_frame_[t]->raw();
-    bases[n] = dispatch_base_[t];
-    const int64_t c = hists[n]->TotalCount();
-    count += c;
-    sum_ms += hists[n]->MeanMs() * static_cast<double>(c);
-    ++n;
-  }
-  if (count > 0) stats.dispatch_mean_ms = sum_ms / static_cast<double>(count);
+  const util::LatencyHistogram* hists[14];
+  for (int t = 1; t <= 14; ++t) hists[t - 1] = dispatch_frame_[t]->raw();
+  const util::LatencyHistogram::Snapshot* bases = dispatch_base_ + 1;
+  const int n = 14;
+  stats.dispatch_mean_ms =
+      util::LatencyHistogram::MergedMeanMsSince(hists, bases, n);
   stats.dispatch_p50_ms =
       util::LatencyHistogram::MergedPercentileSince(hists, bases, n, 50.0);
   stats.dispatch_p95_ms =

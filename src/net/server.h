@@ -18,7 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "roadnet/road_network.h"
-#include "serve/service.h"
+#include "serve/session_backend.h"
 #include "util/latency_histogram.h"
 #include "util/status.h"
 
@@ -132,10 +132,11 @@ struct ServerStats {
   double dispatch_p99_ms = 0.0;
 };
 
-/// Wire front-end over a serve::StreamingService: accepts TCP and loopback
+/// Wire front-end over a serve::SessionBackend — a StreamingService in this
+/// process, or the net::Router's remote fleet: accepts TCP and loopback
 /// (socketpair) connections on a small poll(2) event loop — ONE reader
 /// thread owns every socket, per-connection write queues drain as peers
-/// become writable — and translates frames into StreamingService calls.
+/// become writable — and translates frames into backend calls.
 ///
 /// Per-connection session namespaces: the client chooses its session ids,
 /// the server maps (connection, client id) -> service SessionId, so
@@ -151,7 +152,7 @@ struct ServerStats {
 /// and a Resume on a later connection re-adopts it, redelivering the
 /// unacked history and telling the client which seq to replay from. A
 /// Resume that finds no detached state rebuilds the session from the
-/// client's journaled prefix through StreamingService::BeginSessionAt
+/// client's journaled prefix through SessionBackend::BeginSessionAt
 /// (emit-skip replay). Replayed pushes below the accepted seq are
 /// idempotently ignored, so the accepted stream has no gaps or duplicates.
 ///
@@ -160,11 +161,11 @@ struct ServerStats {
 /// 1e-6 relative, the float-ULP bound shared with the other serving layers).
 ///
 /// Thread-safety: Start/Stop/Drain/AddLoopbackConnection/stats/port may be
-/// called from any thread; all socket and session-map work happens on the
-/// loop thread. The StreamingService is shared and itself thread-safe.
+/// called from any thread; all socket and session-map work, and every
+/// backend call, happens on the loop thread.
 class Server {
  public:
-  explicit Server(serve::StreamingService* service, ServerOptions options = {});
+  explicit Server(serve::SessionBackend* backend, ServerOptions options = {});
   /// Calls Stop().
   ~Server();
 
@@ -281,11 +282,11 @@ class Server {
   void SendError(Connection* conn, ErrorCode code, const std::string& message);
   void SendReject(Connection* conn, const Frame& push, RejectReason reason);
   /// Sends the session's score backlog as offset-stamped, chunked deltas;
-  /// only the last chunk echoes `token`. `state` may be invalidated when
-  /// the send closes the connection — callers must re-check conn->fd.
+  /// only the last chunk echoes `token`. The send may close the connection
+  /// (and clear its session map) — callers must re-check conn->fd.
   void SendScoreChunks(Connection* conn, uint64_t session_id,
-                       SessionState* state, const std::vector<double>& scores,
-                       int64_t base, uint64_t token);
+                       const std::vector<double>& scores, int64_t base,
+                       uint64_t token);
   bool FlushWrites(Connection* conn);
   void CloseConnection(Connection* conn);
   void DrainOrphans();
@@ -294,11 +295,19 @@ class Server {
   /// history overflow, or drain).
   void AbandonDetachedLocked(Detached* detached);
   void MaybeForgetSession(Connection* conn, uint64_t id);
+  /// True when the backend can no longer deliver what `state` is owed.
+  bool SessionLost(const SessionState& state);
+  /// Refuses a just-begun session no backend could place: ends it, sends
+  /// Error{shutting_down} and closes the connection. True when refused.
+  bool RefuseIfLost(Connection* conn, const SessionState& state);
+  /// Ends a lost session, gives its quota back, and sends the client an
+  /// Error that makes it reconnect and rebuild the session by Resume.
+  void DropLostSession(Connection* conn, uint64_t id);
   int64_t* TenantPending(const std::string& tenant);
   static std::string DetachedKey(const std::string& tenant,
                                  uint64_t resume_key);
 
-  serve::StreamingService* service_;
+  serve::SessionBackend* backend_;
   ServerOptions options_;
 
   int listen_fd_ = -1;

@@ -1,8 +1,12 @@
 #include "net/socket_io.h"
 
+#include <arpa/inet.h>
 #include <errno.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -36,6 +40,65 @@ void SendBestEffort(int fd, const uint8_t* data, size_t size) {
 void KillSocket(int fd) { shutdown(fd, SHUT_RDWR); }
 
 }  // namespace
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+int DialTcp(const std::string& host, int port, std::string* error) {
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    if (error) *error = "socket failed: " + std::string(std::strerror(errno));
+    return -1;
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    close(fd);
+    if (error) *error = "bad host " + host;
+    return -1;
+  }
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    if (error) {
+      *error = "connect to " + host + ":" + std::to_string(port) +
+               " failed: " + std::strerror(errno);
+    }
+    close(fd);
+    return -1;
+  }
+  SetNoDelay(fd);
+  return fd;
+}
+
+util::StatusOr<int> ListenTcp(const std::string& host, int port,
+                              int* bound_port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return util::Status::InvalidArgument("bad listen_host " + host);
+  }
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    return util::Status::IoError("socket failed: " +
+                                 std::string(std::strerror(errno)));
+  }
+  int one = 1;
+  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      listen(fd, 64) != 0) {
+    const std::string err = std::strerror(errno);
+    close(fd);
+    return util::Status::IoError("bind/listen failed: " + err);
+  }
+  sockaddr_in bound{};
+  socklen_t len = sizeof(bound);
+  getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
+  *bound_port = ntohs(bound.sin_port);
+  return fd;
+}
 
 IoResult SendSome(int fd, const uint8_t* data, size_t size,
                   FaultConnection* fault) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <sys/types.h>
 
 #include "util/status.h"
@@ -11,6 +12,19 @@ namespace causaltad {
 namespace net {
 
 class FaultConnection;
+
+/// Best-effort TCP_NODELAY; fails harmlessly on AF_UNIX loopback pairs.
+void SetNoDelay(int fd);
+
+/// Blocking TCP connect to host:port (dotted IPv4) with TCP_NODELAY set.
+/// Returns the fd, or -1 with the reason in *error (nullable).
+int DialTcp(const std::string& host, int port, std::string* error);
+
+/// Non-blocking TCP listener on host:port (0 = ephemeral). Returns the fd
+/// and stores the bound port in *bound_port; on failure nothing it opened
+/// stays open.
+util::StatusOr<int> ListenTcp(const std::string& host, int port,
+                              int* bound_port);
 
 /// Outcome of one socket transfer attempt. Exactly one of these shapes:
 ///  * ok() && n >= 0            — n bytes moved (n == 0 on recv means EOF

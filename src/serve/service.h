@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "serve/session_backend.h"
 #include "serve/streaming.h"
 #include "util/latency_histogram.h"
 
@@ -121,21 +122,22 @@ struct ServiceStats {
 ///
 /// Thread-safety: all public methods may be called from any thread. Scores
 /// are still polled per session in feed order.
-class StreamingService {
+class StreamingService : public SessionBackend {
  public:
   explicit StreamingService(const core::CausalTad* model,
                             ServiceOptions options = {});
   StreamingService(const core::CausalTad* model, core::ScoreVariant variant,
                    double lambda, ServiceOptions options = {});
   /// Calls Shutdown().
-  ~StreamingService();
+  ~StreamingService() override;
 
   StreamingService(const StreamingService&) = delete;
   StreamingService& operator=(const StreamingService&) = delete;
 
   /// Registers a trip on a hashed shard and returns its service-wide id.
   SessionId BeginSession(roadnet::SegmentId source,
-                         roadnet::SegmentId destination, int time_slot);
+                         roadnet::SegmentId destination,
+                         int time_slot) override;
   SessionId Begin(const traj::Trip& trip);
 
   /// Rebuild-at-offset registration for resume/replay (the net server's
@@ -145,7 +147,7 @@ class StreamingService {
   /// exactly, with delivery restarting at index emit_skip.
   SessionId BeginSessionAt(roadnet::SegmentId source,
                            roadnet::SegmentId destination, int time_slot,
-                           int64_t emit_skip);
+                           int64_t emit_skip) override;
 
   /// Queues the session's next observed point, subject to the
   /// backpressure/shedding bounds. Only kAccepted enqueues. After Shutdown()
@@ -157,12 +159,13 @@ class StreamingService {
   /// Push carrying a sampled trace identity: a nonzero trace_id rides the
   /// point through admission and the shard batcher records
   /// queue_wait/compute/emit spans for it into options.tracer.
-  PushStatus Push(SessionId id, roadnet::SegmentId segment, uint64_t trace_id);
+  PushStatus Push(SessionId id, roadnet::SegmentId segment,
+                  uint64_t trace_id) override;
 
-  void End(SessionId id);
+  void End(SessionId id) override;
 
   /// Drains the session's scores emitted since the last Poll, feed order.
-  std::vector<double> Poll(SessionId id);
+  std::vector<double> Poll(SessionId id) override;
 
   /// One StepIfReady pass over every generation of every shard (manual
   /// pumping when options.pump is false); returns points scored. Also runs
@@ -180,7 +183,7 @@ class StreamingService {
   /// belongs to the caller, before this call (the net server stages in a
   /// background thread). `model` must outlive the service. Returns false
   /// iff the service has shut down.
-  bool SwapModel(const core::CausalTad* model);
+  bool SwapModel(const core::CausalTad* model) override;
 
   /// The model serving new sessions (the latest SwapModel argument, or the
   /// constructor model before any swap).

@@ -93,6 +93,7 @@ LatencyHistogram::Snapshot LatencyHistogram::TakeSnapshot() const {
   for (int b = 0; b < kNumBuckets; ++b) {
     snap.counts[b] = buckets_[b].load(std::memory_order_relaxed);
   }
+  snap.sum_us = sum_us_.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -137,6 +138,19 @@ double LatencyHistogram::MergedPercentileSince(
     }
   }
   return PercentileOfCounts(merged, p);
+}
+
+double LatencyHistogram::MergedMeanMsSince(
+    const LatencyHistogram* const* hists, const Snapshot* bases, int n) {
+  int64_t count = 0;
+  int64_t sum_us = 0;
+  for (int i = 0; i < n; ++i) {
+    count += hists[i]->CountSince(bases[i]);
+    sum_us += std::max<int64_t>(
+        0, hists[i]->sum_us_.load(std::memory_order_relaxed) -
+               bases[i].sum_us);
+  }
+  return count == 0 ? 0.0 : sum_us / 1000.0 / static_cast<double>(count);
 }
 
 }  // namespace util

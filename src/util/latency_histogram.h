@@ -42,6 +42,7 @@ class LatencyHistogram {
   /// type (unlike the histogram itself, whose atomics pin it in place).
   struct Snapshot {
     std::array<int64_t, kNumBuckets> counts{};
+    int64_t sum_us = 0;
   };
 
   Snapshot TakeSnapshot() const;
@@ -66,6 +67,11 @@ class LatencyHistogram {
   /// any one owner. Counts that raced below a baseline clamp to 0.
   static double MergedPercentileSince(const LatencyHistogram* const* hists,
                                       const Snapshot* bases, int n, double p);
+
+  /// Exact mean (ms) over the same windowed union as MergedPercentileSince.
+  /// 0 when no histogram recorded a sample after its baseline.
+  static double MergedMeanMsSince(const LatencyHistogram* const* hists,
+                                  const Snapshot* bases, int n);
 
  private:
   std::array<std::atomic<int64_t>, kNumBuckets> buckets_{};

@@ -286,6 +286,36 @@ TEST(NetFaultTest, OpenFdCountStableAcrossChurn) {
   service.Shutdown();
 }
 
+// A Start() that fails opens nothing it keeps: neither the wake pipe nor
+// the listener survives a bad listen_host or a port another listener holds.
+TEST(NetFaultTest, FailedStartLeavesNoOpenFds) {
+  const CausalTad* causal = FittedCausal();
+  ASSERT_NE(causal, nullptr);
+  StreamingService service(causal, PumpedServiceOptions());
+  ServerOptions holder_options;
+  holder_options.listen_port = 0;
+  Server holder(&service, holder_options);
+  ASSERT_TRUE(holder.Start().ok());
+  const int baseline = CountOpenFds();
+  ASSERT_GT(baseline, 0);
+  for (int round = 0; round < 4; ++round) {
+    ServerOptions bad_host;
+    bad_host.listen_port = 0;
+    bad_host.listen_host = "not-an-address";
+    Server first(&service, bad_host);
+    EXPECT_FALSE(first.Start().ok());
+    EXPECT_EQ(CountOpenFds(), baseline) << "bad host, round " << round;
+
+    ServerOptions taken;
+    taken.listen_port = holder.port();
+    Server second(&service, taken);
+    EXPECT_FALSE(second.Start().ok());
+    EXPECT_EQ(CountOpenFds(), baseline) << "port in use, round " << round;
+  }
+  holder.Stop();
+  service.Shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Reconnect backoff.
 // ---------------------------------------------------------------------------

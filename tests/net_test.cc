@@ -21,6 +21,7 @@
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "serve/service.h"
 #include "serve/streaming.h"
 
@@ -568,6 +569,44 @@ TEST(NetTest, AuthTokenRequiredWhenConfigured) {
     EXPECT_TRUE(client->Hello().ok());
   }
   EXPECT_GE(server.stats().auth_failures, 3);
+}
+
+// Two servers on one registry: every dispatch figure in stats() is windowed
+// to its own instance. B, built after A dispatched its frames, reads 0 for
+// the mean exactly as it does for the percentiles.
+TEST(NetTest, DispatchStatsArePerInstanceOnSharedRegistry) {
+  const CausalTad* causal = FittedCausal();
+  StreamingService service(causal, PumpedServiceOptions());
+  obs::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  Server a(&service, options);
+  ASSERT_TRUE(a.Start().ok());
+  {
+    const auto trips = ParityTrips();
+    const traj::Trip& trip = trips[0];
+    auto client = Client::FromFd(a.AddLoopbackConnection());
+    ASSERT_TRUE(client->Hello().ok()) << client->status().ToString();
+    for (int i = 0; i < 50; ++i) ASSERT_TRUE(client->Heartbeat().ok());
+    const uint64_t id = client->Begin(trip.route.segments.front(),
+                                      trip.route.segments.back(),
+                                      trip.time_slot);
+    for (const auto segment : trip.route.segments) {
+      ASSERT_TRUE(client->Push(id, segment).ok());
+    }
+    ASSERT_TRUE(client->Finish(id).ok()) << client->status().ToString();
+  }
+  a.Stop();  // joins A's loop: every dispatch it made is recorded
+  Server b(&service, options);
+  ASSERT_TRUE(b.Start().ok());
+  const net::ServerStats sa = a.stats();
+  const net::ServerStats sb = b.stats();
+  EXPECT_GT(sa.dispatch_mean_ms, 0.0);
+  EXPECT_GT(sa.dispatch_p50_ms, 0.0);
+  EXPECT_EQ(sb.dispatch_p50_ms, 0.0);
+  EXPECT_EQ(sb.dispatch_mean_ms, 0.0);
+  b.Stop();
+  service.Shutdown();
 }
 
 TEST(NetTest, InvalidTransitionGetsErrorNotCrash) {

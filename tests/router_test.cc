@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -13,6 +17,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/causal_tad.h"
@@ -21,8 +26,10 @@
 #include "models/scorer.h"
 #include "net/client.h"
 #include "net/fault.h"
+#include "net/frame.h"
 #include "net/router.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "serve/service.h"
 #include "serve/streaming.h"
 #include "util/logging.h"
@@ -761,6 +768,338 @@ TEST(RouterTest, RollSwapFleetUnderLoadSpliceParity) {
   for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(cluster.ServiceStats(i).model_swaps, 1) << "backend " << i;
   }
+  router.Stop();
+}
+
+// The control plane answers an out-of-range backend index the way
+// UndrainBackend ignores one: no backend, so neither alive nor draining.
+TEST(RouterTest, OutOfRangeBackendIsNeitherAliveNorDraining) {
+  Cluster cluster(2, FittedCausal());
+  RouterOptions options = FastRouterOptions();
+  options.health_interval_ms = 0.0;
+  Router router(cluster.RouterBackends(), options);
+  for (const int backend : {-1, 2, 1 << 20}) {
+    EXPECT_FALSE(router.BackendAlive(backend)) << backend;
+    EXPECT_FALSE(router.BackendDraining(backend)) << backend;
+    router.UndrainBackend(backend);
+    EXPECT_FALSE(router.DrainBackend(backend).ok()) << backend;
+  }
+  EXPECT_TRUE(router.BackendAlive(1));
+  EXPECT_FALSE(router.BackendDraining(1));
+}
+
+// ---------------------------------------------------------------------------
+// Downstream auth surface.
+// ---------------------------------------------------------------------------
+
+// A token-checked router in the examples/online_monitoring.cpp setup: the
+// backends check the same tenant and authorize it for scrapes, the router
+// checks its own tenant_tokens. A wrong token is refused with auth_failed, a
+// wire Admin frame is refused with a kError ack (model administration is
+// RollSwap's), and a Stats frame from an authed tenant returns the fleet
+// view: every backend's series labelled backend="<i>" plus the router_*
+// series.
+TEST(RouterTest, TokenCheckedRouterAuthAdminAndFleetScrape) {
+  const CausalTad* causal = FittedCausal();
+  ASSERT_NE(causal, nullptr);
+  const std::unordered_map<std::string, std::string> tokens = {
+      {"fleet-demo", "s3cret"}};
+  obs::Registry backend_registry[2];
+  obs::Registry router_registry;
+  std::vector<Backend> backends(2);
+  std::vector<RouterBackend> router_backends(2);
+  for (int i = 0; i < 2; ++i) {
+    ServiceOptions sopts;
+    sopts.num_shards = 1;
+    sopts.pump = true;
+    sopts.registry = &backend_registry[i];
+    backends[i].service = std::make_unique<StreamingService>(causal, sopts);
+    ServerOptions oopts;
+    oopts.tenant_tokens = tokens;
+    oopts.admin_tenant = "fleet-demo";
+    oopts.network = &Data().city.network;
+    oopts.registry = &backend_registry[i];
+    backends[i].server =
+        std::make_unique<Server>(backends[i].service.get(), oopts);
+    ASSERT_TRUE(backends[i].server->Start().ok());
+    Server* server = backends[i].server.get();
+    router_backends[i].dialer = [server] {
+      return server->AddLoopbackConnection();
+    };
+  }
+  RouterOptions ropts = FastRouterOptions();
+  ropts.tenant_tokens = tokens;
+  ropts.upstream.tenant = "fleet-demo";
+  ropts.upstream.auth_token = "s3cret";
+  ropts.registry = &router_registry;
+  Router router(std::move(router_backends), ropts);
+  ASSERT_TRUE(router.Start().ok());
+  {
+    // Raw frames: a Client's Hello barrier may hit the closed socket
+    // before it reads the verdict, so read the verdict directly.
+    const int fd = router.AddLoopbackConnection();
+    net::Frame hello;
+    hello.type = net::FrameType::kHello;
+    hello.tenant = "fleet-demo";
+    hello.auth_token = "wrong";
+    std::vector<uint8_t> bytes;
+    net::EncodeFrame(hello, &bytes);
+    ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    net::FrameDecoder decoder;
+    net::Frame reply;
+    uint8_t buf[4096];
+    while (!decoder.Next(&reply)) {
+      const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "closed without a verdict";
+      decoder.Feed(buf, static_cast<size_t>(n));
+    }
+    close(fd);
+    EXPECT_EQ(reply.type, net::FrameType::kError);
+    EXPECT_EQ(reply.code, net::ErrorCode::kAuthFailed) << reply.message;
+  }
+  EXPECT_GE(router.stats().auth_failures, 1);
+  {
+    ClientOptions good;
+    good.tenant = "fleet-demo";
+    good.auth_token = "s3cret";
+    auto client = Client::FromFd(router.AddLoopbackConnection(), good);
+    ASSERT_TRUE(client->Hello().ok()) << client->status().ToString();
+    const int64_t refused = router.stats().auth_failures;
+    uint64_t result = 0;
+    std::string message;
+    ASSERT_TRUE(client->Admin("commit", &result, &message).ok())
+        << client->status().ToString();
+    EXPECT_EQ(result, static_cast<uint64_t>(net::AdminStatus::kError))
+        << message;
+    // Refused because the router routes no Admin, not an auth failure.
+    EXPECT_EQ(router.stats().auth_failures, refused);
+    std::string fleet;
+    ASSERT_TRUE(client->ScrapeStats(&fleet).ok())
+        << client->status().ToString();
+    EXPECT_EQ(fleet.rfind("# causaltad_metrics v1\n", 0), 0u);
+    for (int i = 0; i < 2; ++i) {
+      const std::string label = "backend=\"" + std::to_string(i) + "\"";
+      EXPECT_NE(fleet.find("server_connections_accepted_total{" + label),
+                std::string::npos)
+          << fleet;
+    }
+    for (const char* series :
+         {"router_connections_accepted_total ", "router_auth_failures_total ",
+          "router_sessions_opened_total ", "router_health_probes_total "}) {
+      EXPECT_NE(fleet.find(series), std::string::npos) << series << fleet;
+    }
+  }
+  router.Stop();
+  for (Backend& backend : backends) {
+    backend.server->Stop();
+    backend.service->Shutdown();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Session lifetime and lost upstream sessions.
+// ---------------------------------------------------------------------------
+
+void WaitForNoRouterSessions(Router* router, double timeout_ms = 5000.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(
+                            static_cast<int64_t>(timeout_ms));
+  while (router->stats().sessions_live > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
+// The router forgets a session once it has handed out its last score:
+// after many Begin/Push/Finish cycles, and after a client that disconnects
+// mid-stream, it holds no session state.
+TEST(RouterTest, FinishedAndAbandonedSessionsReleaseRouterState) {
+  const CausalTad* causal = FittedCausal();
+  ASSERT_NE(causal, nullptr);
+  const auto trips = ParityTrips();
+  Cluster cluster(2, causal);
+  Router router(cluster.RouterBackends(), FastRouterOptions());
+  ASSERT_TRUE(router.Start().ok());
+  {
+    auto client = Client::FromFd(router.AddLoopbackConnection(), {});
+    ASSERT_TRUE(client->Hello().ok()) << client->status().ToString();
+    for (int round = 0; round < 5; ++round) {
+      for (const auto& trip : trips) {
+        const uint64_t id = client->Begin(trip.route.segments.front(),
+                                          trip.route.segments.back(),
+                                          trip.time_slot);
+        for (const auto segment : trip.route.segments) {
+          ASSERT_TRUE(client->Push(id, segment).ok())
+              << client->status().ToString();
+        }
+        const auto scores = client->Finish(id);
+        ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+      }
+    }
+    // A round trip after the last End: every End has been handled.
+    ASSERT_TRUE(client->Heartbeat().ok()) << client->status().ToString();
+    EXPECT_EQ(router.stats().sessions_opened,
+              static_cast<int64_t>(5 * trips.size()));
+    EXPECT_EQ(router.stats().sessions_live, 0);
+  }
+  {
+    // Disconnect with sessions mid-stream: the server ends them and drains
+    // their remaining scores, then the router lets them go.
+    auto client = Client::FromFd(router.AddLoopbackConnection(), {});
+    ASSERT_TRUE(client->Hello().ok()) << client->status().ToString();
+    for (const auto& trip : trips) {
+      const uint64_t id = client->Begin(trip.route.segments.front(),
+                                        trip.route.segments.back(),
+                                        trip.time_slot);
+      const auto& segs = trip.route.segments;
+      for (size_t k = 0; k < segs.size() / 2; ++k) {
+        ASSERT_TRUE(client->Push(id, segs[k]).ok())
+            << client->status().ToString();
+      }
+    }
+    ASSERT_TRUE(client->Heartbeat().ok()) << client->status().ToString();
+    EXPECT_EQ(router.stats().sessions_live,
+              static_cast<int64_t>(trips.size()));
+  }
+  WaitForNoRouterSessions(&router);
+  EXPECT_EQ(router.stats().sessions_live, 0);
+  router.Stop();
+}
+
+// An upstream leg that exhausts its reconnect budget loses its sessions.
+// The router's server tells the downstream client with a recoverable
+// Error; the client reconnects and Resumes, the session is rebuilt from
+// its journal on a fresh leg, and the stream keeps exact parity.
+TEST(RouterTest, LostUpstreamSessionIsRebuiltByDownstreamResume) {
+  const CausalTad* causal = FittedCausal();
+  ASSERT_NE(causal, nullptr);
+  const auto trips = ParityTrips();
+  const auto reference = BatcherReference(causal, trips);
+  const auto& trip = trips.front();
+  const auto& segs = trip.route.segments;
+  ASSERT_GE(segs.size(), 4u);
+
+  Cluster cluster(2, causal);
+  // While `unreachable` is set every upstream dial fails; `refused` counts
+  // the dials it turned away.
+  std::atomic<bool> unreachable{false};
+  std::atomic<int> refused{0};
+  std::vector<RouterBackend> backends = cluster.RouterBackends();
+  for (RouterBackend& backend : backends) {
+    backend.dialer = [&unreachable, &refused, dial = backend.dialer] {
+      if (unreachable.load()) {
+        refused.fetch_add(1);
+        return -1;
+      }
+      return dial();
+    };
+  }
+  RouterOptions ropts = FastRouterOptions();
+  ropts.health_interval_ms = 0.0;  // only leg dials go through the gate
+  ropts.upstream.max_reconnect_attempts = 2;
+  ropts.upstream.reconnect_base_ms = 1.0;
+  ropts.upstream.reconnect_max_ms = 2.0;
+  ropts.upstream_heartbeat_ms = 5.0;  // finds the dead leg while idle
+  Router router(std::move(backends), ropts);
+  ASSERT_TRUE(router.Start().ok());
+  {
+    ClientOptions copts;
+    copts.reconnect = true;
+    copts.reconnect_base_ms = 1.0;
+    copts.timeout_ms = 10000.0;
+    copts.dialer = [&router] { return router.AddLoopbackConnection(); };
+    auto client = Client::FromFd(router.AddLoopbackConnection(), copts);
+    ASSERT_TRUE(client->Hello().ok()) << client->status().ToString();
+    const uint64_t id = client->Begin(segs.front(), segs.back(),
+                                      trip.time_slot);
+    for (size_t k = 0; k < segs.size() / 2; ++k) {
+      ASSERT_TRUE(client->Push(id, segs[k]).ok())
+          << client->status().ToString();
+    }
+    const auto polled = client->Poll(id);
+    ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+    std::vector<double> stream = *polled;
+
+    // Kill the session's backend with every dial failing: the leg's
+    // heartbeat finds the dead transport, both redial attempts (each
+    // trying both backends) are refused, and the leg latches.
+    unreachable.store(true);
+    cluster.Kill(cluster.BusiestBackend());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (refused.load() < 2 * 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE(refused.load(), 2 * 2) << "the leg never tried to redial";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    unreachable.store(false);
+
+    for (size_t k = segs.size() / 2; k < segs.size(); ++k) {
+      ASSERT_TRUE(client->Push(id, segs[k]).ok())
+          << client->status().ToString();
+    }
+    const auto tail = client->Finish(id);
+    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+    stream.insert(stream.end(), tail->begin(), tail->end());
+    ExpectScoresMatch(stream, reference.front(), "rebuilt trip");
+    EXPECT_GE(client->stats().reconnects, 1);
+  }
+  EXPECT_GE(router.stats().sessions_resumed, 1);
+  WaitForNoRouterSessions(&router);
+  EXPECT_EQ(router.stats().sessions_live, 0);
+  router.Stop();
+}
+
+// With no backend reachable a Begin is refused with a shutting_down Error
+// (and the connection closed), so a client gets an error instead of
+// waiting out its timeout.
+TEST(RouterTest, BeginWithNoReachableBackendIsRefused) {
+  RouterBackend nowhere;
+  nowhere.dialer = [] { return -1; };
+  RouterOptions ropts = FastRouterOptions();
+  ropts.health_interval_ms = 0.0;  // the backend stays eligible
+  Router router({nowhere}, ropts);
+  ASSERT_TRUE(router.Start().ok());
+  {
+    // Raw frames: a Client's next send may hit the closed socket before it
+    // reads the verdict, so read the verdict directly.
+    const auto trips = ParityTrips();
+    const auto& segs = trips.front().route.segments;
+    const int fd = router.AddLoopbackConnection();
+    timeval wait{5, 0};  // a missing verdict fails the test, not hangs it
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &wait, sizeof(wait));
+    net::Frame hello;
+    hello.type = net::FrameType::kHello;
+    hello.tenant = "any";
+    net::Frame begin;
+    begin.type = net::FrameType::kBegin;
+    begin.session = 1;
+    begin.source = segs.front();
+    begin.destination = segs.back();
+    std::vector<uint8_t> bytes;
+    net::EncodeFrame(hello, &bytes);
+    net::EncodeFrame(begin, &bytes);
+    ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    net::FrameDecoder decoder;
+    net::Frame reply;
+    uint8_t buf[4096];
+    while (!decoder.Next(&reply)) {
+      const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "no verdict: closed or timed out";
+      decoder.Feed(buf, static_cast<size_t>(n));
+    }
+    EXPECT_EQ(reply.type, net::FrameType::kError);
+    EXPECT_EQ(reply.code, net::ErrorCode::kShuttingDown) << reply.message;
+    ssize_t n;
+    while ((n = recv(fd, buf, sizeof(buf), 0)) > 0) {
+    }
+    EXPECT_EQ(n, 0) << "the router left the connection open";
+    close(fd);
+  }
+  EXPECT_EQ(router.stats().sessions_live, 0);
   router.Stop();
 }
 
